@@ -1,7 +1,7 @@
-"""Pauli-string algebra: the shared Hamiltonian representation.
+"""Pauli-string algebra.
 
-Every model in the suite hands its Hamiltonian around as a real-weighted
-sum of Pauli strings (``PauliSum``); dense matrices are derived on demand.
+Models hand their Hamiltonians around as dense matrices; the Pauli form
+(a ``PauliSum``) is derived on demand with ``pauli_decompose``.
 Qubit 0 is the leftmost label in the string and the most significant bit
 of a basis index.
 """
@@ -53,7 +53,7 @@ class PauliString:
         return len(self.ops)
 
     def matrix(self) -> np.ndarray:
-        m = _PAULI_1Q[self.ops[0]]
+        m = _PAULI_1Q[self.ops[0]].copy()  # callers may write to it
         for c in self.ops[1:]:
             m = np.kron(m, _PAULI_1Q[c])
         return m

@@ -13,18 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliString, PauliSum
 
 _NORM_TOL = 1e-10
 
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": _X_MAT,
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_1Q = {c: PauliString(c).matrix() for c in "IXYZ"}
+_X_MAT = _PAULI_1Q["X"]
 
 
 class SimulationError(ValueError):

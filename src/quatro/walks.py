@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    Circuit,
-    Gate,
-    NoiseModel,
-    PauliSum,
-    StateVector,
-    evolution_operator,
-    pauli_decompose,
-)
+from .qcore import Circuit, Gate, NoiseModel, StateVector, evolution_operator
 from .qcore.sim import _apply_gate, _inject_pauli
 
 
@@ -45,7 +37,9 @@ class WalkModel:
         n = self.n_states
         if n < 4 or n & (n - 1):
             raise WalkError("n_states must be a power of two >= 4")
-        if self.dt <= 0:
+        if not np.isfinite([self.drift, self.coupling, self.dt]).all():
+            raise WalkError("drift, coupling and dt must be finite")
+        if not self.dt > 0:
             raise WalkError("dt must be positive")
 
     @property
@@ -71,15 +65,16 @@ class WalkResult:
         return self.tables[timestep]
 
 
-def build_walk_hamiltonian(model: WalkModel) -> tuple[PauliSum, np.ndarray]:
-    """Tridiagonal walk Hamiltonian, as a PauliSum and its dense form."""
+def build_walk_hamiltonian(model: WalkModel) -> np.ndarray:
+    """Dense ``n_states x n_states`` tridiagonal walk Hamiltonian; its Pauli
+    form is ``pauli_decompose(build_walk_hamiltonian(model))``."""
     n = model.n_states
     dense = np.zeros((n, n))
     for i in range(n):
         dense[i, i] = model.drift * i
         if i + 1 < n:
             dense[i, i + 1] = dense[i + 1, i] = model.coupling
-    return pauli_decompose(dense), dense
+    return dense
 
 
 def calibrated_walk_model(
@@ -92,18 +87,19 @@ def calibrated_walk_model(
     ``ground_energy`` (monotone in the drift, so bisection is exact)."""
 
     def lam_min(mu: float) -> float:
-        _, dense = build_walk_hamiltonian(WalkModel(n_states, mu, coupling, dt))
+        dense = build_walk_hamiltonian(WalkModel(n_states, mu, coupling, dt))
         return float(np.linalg.eigvalsh(dense)[0])
 
     lo, hi = -abs(ground_energy) - 2 * abs(coupling), 0.0
     if not lam_min(lo) <= ground_energy <= lam_min(hi):
         raise WalkError(f"target {ground_energy} not bracketed by drift range")
-    for _ in range(200):
-        mid = (lo + hi) / 2
+    mid = (lo + hi) / 2
+    while lo < mid < hi:  # stop once lo and hi are adjacent doubles
         if lam_min(mid) < ground_energy:
             lo = mid
         else:
             hi = mid
+        mid = (lo + hi) / 2
     return WalkModel(n_states, (lo + hi) / 2, coupling, dt)
 
 
@@ -111,8 +107,7 @@ def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResu
     """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
-    _, dense = build_walk_hamiltonian(model)
-    u = evolution_operator(dense, model.dt)
+    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     amps = psi0.amplitudes.copy()
     tables = [np.abs(amps) ** 2]
     for _ in range(steps):
@@ -177,8 +172,7 @@ def boundary_detector(n_qubits: int) -> Circuit:
 # --- absorbing walks -------------------------------------------------------
 
 def _exact_absorbing(model: WalkModel, psi0: StateVector, steps: int) -> WalkResult:
-    _, dense = build_walk_hamiltonian(model)
-    u = evolution_operator(dense, model.dt)
+    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     survivor = psi0.amplitudes.copy()
     tables = [np.abs(survivor) ** 2]
     survival = [1.0]
@@ -295,8 +289,7 @@ def _sampled_absorbing(
 ) -> WalkResult:
     if shots < 1:
         raise WalkError("sampled path requires shots >= 1")
-    _, dense = build_walk_hamiltonian(model)
-    u_main = evolution_operator(dense, model.dt)
+    u_main = evolution_operator(build_walk_hamiltonian(model), model.dt)
     u_full = np.kron(u_main, np.eye(2))
     detector = boundary_detector(model.n_qubits)
 

@@ -1,0 +1,35 @@
+"""pyproject.toml declares only what the package uses and ships."""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def imported_top_level_names():
+    names = set()
+    for path in (ROOT / "src" / "quatro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_dependency_is_imported():
+    imported = imported_top_level_names()
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in PROJECT["dependencies"]]
+    assert [n for n in names if n.replace("-", "_").lower() not in imported] == []
+
+
+def test_every_script_target_resolves():
+    for target in PROJECT.get("scripts", {}).values():
+        module_name, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module_name), attr)), target

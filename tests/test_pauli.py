@@ -23,12 +23,19 @@ def test_pauli_z_by_definition():
     assert ps.terms == {PauliString("Z"): 1.0}
 
 
+def test_matrix_returns_a_fresh_array():
+    m = PauliString("X").matrix()
+    m[0, 0] = 7.0
+    assert np.array_equal(PauliString("X").matrix(), [[0, 1], [1, 0]])
+
+
 def test_walk_hamiltonian_coefficients_match_trace_oracle():
     # 4-state walk Hamiltonian; oracle computes trace(P . h)/4 for all 16 strings.
     from quatro.walks import WalkModel, build_walk_hamiltonian
 
     model = WalkModel(n_states=4, drift=-2.0, coupling=1.0)
-    ps, dense = build_walk_hamiltonian(model)
+    dense = build_walk_hamiltonian(model)
+    ps = pauli_decompose(dense)
     for a in "IXYZ":
         for b in "IXYZ":
             p = PauliString(a + b)

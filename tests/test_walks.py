@@ -7,6 +7,7 @@ from quatro.qcore import (
     StateVector,
     apply_circuit,
     evolution_operator,
+    pauli_decompose,
 )
 from quatro.walks import (
     WalkError,
@@ -105,7 +106,7 @@ def outside_five_sigma(tables, reference, shots):
 
 class TestHamiltonian:
     def test_construction_by_definition(self):
-        _, dense = build_walk_hamiltonian(WalkModel(4, drift=0.0, coupling=1.0))
+        dense = build_walk_hamiltonian(WalkModel(4, drift=0.0, coupling=1.0))
         expected = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
         assert np.array_equal(dense, expected)
 
@@ -113,18 +114,25 @@ class TestHamiltonian:
         from quatro.qcore import evolve
 
         model = WalkModel(4, drift=-1.5, coupling=0.0)
-        _, dense = build_walk_hamiltonian(model)
+        dense = build_walk_hamiltonian(model)
         psi = StateVector.basis(2, 2)
         out = evolve(dense, 3.0, psi)
         assert np.abs(out.amplitudes[2]) == pytest.approx(1.0)
 
-    def test_calibration_hits_paper_ground_energy(self):
-        model = calibrated_walk_model(4, coupling=1.0, ground_energy=-7.22)
-        _, dense = build_walk_hamiltonian(model)
-        assert np.linalg.eigvalsh(dense)[0] == pytest.approx(-7.22, abs=1e-9)
+    def test_lattice_beyond_the_decomposer_guard(self):
+        # 2048 states = 11 qubits, past pauli_decompose's 10-qubit guard.
+        dense = build_walk_hamiltonian(WalkModel(2048, -0.01, 1.0))
+        assert np.array_equal(dense, dense_walk_matrix(2048, -0.01, 1.0))
+
+    @pytest.mark.parametrize("n_states, energy", [(4, -7.22), (64, -4.0), (64, -8.0)])
+    def test_calibration_hits_paper_ground_energy(self, n_states, energy):
+        model = calibrated_walk_model(n_states, coupling=1.0, ground_energy=energy)
+        dense = build_walk_hamiltonian(model)
+        assert np.linalg.eigvalsh(dense)[0] == pytest.approx(energy, abs=1e-9)
 
     def test_pauli_form_matches_dense(self):
-        ps, dense = build_walk_hamiltonian(WalkModel(8, drift=-0.7, coupling=0.9))
+        dense = build_walk_hamiltonian(WalkModel(8, drift=-0.7, coupling=0.9))
+        ps = pauli_decompose(dense)
         assert np.max(np.abs(ps.to_dense() - dense)) < 1e-10
 
     def test_invalid_sizes(self):
@@ -132,6 +140,18 @@ class TestHamiltonian:
             WalkModel(3, 0.0, 1.0)
         with pytest.raises(WalkError):
             WalkModel(4, 0.0, 1.0, dt=0.0)
+
+    @pytest.mark.parametrize("field", ["drift", "coupling", "dt"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameters(self, field, value):
+        params = {"drift": -0.5, "coupling": 1.0, "dt": 1.0, field: value}
+        with pytest.raises(WalkError):
+            WalkModel(4, **params)
+
+    @pytest.mark.parametrize("energy", [-np.inf, np.nan])
+    def test_calibration_rejects_non_finite_target(self, energy):
+        with pytest.raises(WalkError):
+            calibrated_walk_model(4, 1.0, energy)
 
 
 class TestReflecting:
@@ -267,7 +287,7 @@ class TestAbsorbing:
         from quatro.walks import _sampled_arm, boundary_detector
 
         model = WalkModel(4, -0.5, 1.0)
-        _, dense = build_walk_hamiltonian(model)
+        dense = build_walk_hamiltonian(model)
         u_full = np.kron(evolution_operator(dense, 1.0), np.eye(2))
         rng = np.random.default_rng(3)
         psi = StateVector.basis(2, 1)
