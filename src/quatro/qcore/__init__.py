@@ -4,6 +4,7 @@ from .sim import (
     Circuit,
     Gate,
     NoiseModel,
+    PostSelect,
     SimulationError,
     StateVector,
     apply_circuit,
@@ -12,6 +13,7 @@ from .sim import (
     measure_and_collapse,
     measure_probs,
     run_noisy,
+    run_trajectories,
     sample,
 )
 
@@ -23,6 +25,7 @@ __all__ = [
     "Circuit",
     "Gate",
     "NoiseModel",
+    "PostSelect",
     "SimulationError",
     "StateVector",
     "apply_circuit",
@@ -31,5 +34,6 @@ __all__ = [
     "measure_and_collapse",
     "measure_probs",
     "run_noisy",
+    "run_trajectories",
     "sample",
 ]

@@ -20,6 +20,7 @@ _NORM_TOL = 1e-10
 _H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PAULI_1Q = {c: PauliString(c).matrix() for c in "IXYZ"}
 _X_MAT = _PAULI_1Q["X"]
+_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # onto qubit = 0, 1
 
 
 class SimulationError(ValueError):
@@ -38,7 +39,7 @@ class StateVector:
                 f"expected {2**self.n_qubits} amplitudes, got {self.amplitudes.shape}"
             )
         norm = np.sum(np.abs(self.amplitudes) ** 2)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
             raise SimulationError(f"state norm {norm} is not 1")
 
     @classmethod
@@ -59,7 +60,10 @@ class StateVector:
         n = int(round(np.log2(amps.size)))
         if 2**n != amps.size:
             raise SimulationError("amplitude count is not a power of two")
-        return cls(n, amps / np.linalg.norm(amps))
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < np.inf:
+            raise SimulationError(f"cannot normalise amplitudes of norm {norm}")
+        return cls(n, amps / norm)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -156,32 +160,31 @@ def _rz_matrix(theta: float) -> np.ndarray:
     )
 
 
-def _apply_1q(amps: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
-    return t.reshape(-1)
+# Gate kernels take one state vector or a (rows, 2**n) block of them.
+def _apply_1q(block: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
+    t = block.reshape(-1, 2**q, 2, 2 ** (n - q - 1))
+    return (m @ t).reshape(block.shape)
 
 
 def _apply_controlled_1q(
-    amps: np.ndarray, m: np.ndarray, controls: tuple[int, ...], target: int, n: int
+    block: np.ndarray, m: np.ndarray, controls: tuple[int, ...], target: int, n: int
 ) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sel: list[slice | int] = [slice(None)] * n
+    t = block.reshape([-1] + [2] * n).copy()
+    sel: list[slice | int] = [slice(None)] * (n + 1)
     for c in controls:
-        sel[c] = 1
+        sel[c + 1] = 1
     sub = t[tuple(sel)]
-    axis = target - sum(1 for c in controls if c < target)
-    sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [axis])), 0, axis)
-    t[tuple(sel)] = sub
-    return t.reshape(-1)
+    below = target - sum(1 for c in controls if c < target)
+    t[tuple(sel)] = (m @ sub.reshape(sub.shape[0], 2**below, 2, -1)).reshape(sub.shape)
+    return t.reshape(block.shape)
 
 
-def _apply_2q(amps: np.ndarray, m: np.ndarray, q0: int, q1: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
+def _apply_2q(block: np.ndarray, m: np.ndarray, q0: int, q1: int, n: int) -> np.ndarray:
+    t = block.reshape([-1] + [2] * n)
     m4 = m.reshape(2, 2, 2, 2)
-    t = np.tensordot(m4, t, axes=([2, 3], [q0, q1]))
-    t = np.moveaxis(t, [0, 1], [q0, q1])
-    return t.reshape(-1)
+    t = np.tensordot(m4, t, axes=([2, 3], [q0 + 1, q1 + 1]))
+    t = np.moveaxis(t, [0, 1], [q0 + 1, q1 + 1])
+    return t.reshape(block.shape)
 
 
 def _gate_unitary(gate: Gate) -> tuple[np.ndarray, str]:
@@ -205,13 +208,13 @@ def _gate_unitary(gate: Gate) -> tuple[np.ndarray, str]:
     raise SimulationError(f"unknown gate kind {gate.kind}")
 
 
-def _apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+def _apply_gate(block: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     m, mode = _gate_unitary(gate)
     if mode == "controlled":
-        return _apply_controlled_1q(amps, m, gate.qubits[:-1], gate.qubits[-1], n)
+        return _apply_controlled_1q(block, m, gate.qubits[:-1], gate.qubits[-1], n)
     if len(gate.qubits) == 1:
-        return _apply_1q(amps, m, gate.qubits[0], n)
-    return _apply_2q(amps, m, gate.qubits[0], gate.qubits[1], n)
+        return _apply_1q(block, m, gate.qubits[0], n)
+    return _apply_2q(block, m, gate.qubits[0], gate.qubits[1], n)
 
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
@@ -224,7 +227,7 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     for gate in circuit.gates:
         amps = _apply_gate(amps, gate, circuit.n_qubits)
     norm = np.sum(np.abs(amps) ** 2)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise SimulationError(f"norm drifted to {norm}")
     return StateVector(psi.n_qubits, amps)
 
@@ -242,7 +245,7 @@ def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
     phases = np.exp(-1j * evals * t)
     amps = evecs @ (phases * (evecs.conj().T @ psi.amplitudes))
     norm = np.sum(np.abs(amps) ** 2)
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise SimulationError(f"norm drifted to {norm}")
     return StateVector(psi.n_qubits, amps)
 
@@ -286,15 +289,10 @@ def measure_and_collapse(
 ) -> tuple[int, StateVector]:
     """Projectively measure one qubit; return (outcome, collapsed state)."""
     n = psi.n_qubits
-    t = psi.amplitudes.reshape([2] * n)
-    p1 = float(np.sum(np.abs(np.take(t, 1, axis=qubit)) ** 2))
+    p1 = float(np.sum(np.abs(_apply_1q(psi.amplitudes, _PROJECTORS[1], qubit, n)) ** 2))
     outcome = 1 if rng.random() < p1 else 0
-    p = p1 if outcome == 1 else 1.0 - p1
-    collapsed = np.zeros_like(t)
-    idx: list[slice | int] = [slice(None)] * n
-    idx[qubit] = outcome
-    collapsed[tuple(idx)] = np.take(t, outcome, axis=qubit) / np.sqrt(p)
-    return outcome, StateVector(n, collapsed.reshape(-1))
+    collapsed = _apply_1q(psi.amplitudes, _PROJECTORS[outcome], qubit, n)
+    return outcome, StateVector(n, collapsed / np.sqrt(p1 if outcome else 1.0 - p1))
 
 
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
@@ -334,13 +332,82 @@ class NoiseModel:
         return self.p1 if len(gate.qubits) == 1 else self.p2
 
 
-def _inject_pauli(amps: np.ndarray, qubits: tuple[int, ...], n: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def _noise_events(gates: list[Gate], noise: NoiseModel, shots: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Shots with at least one depolarizing event, and for each of them
+    which of ``gates`` are followed by one."""
+    probs = np.array([noise.gate_probability(g) for g in gates])
+    events = rng.random((shots, probs.size)) < probs[None, :]
+    noisy_shots = np.flatnonzero(events.any(axis=1))
+    return noisy_shots, events[noisy_shots]
+
+
+def _inject_pauli(block: np.ndarray, rows: np.ndarray, qubits: tuple[int, ...],
+                  n: int, rng: np.random.Generator) -> np.ndarray:
+    """Inject a uniform Pauli on each of ``qubits`` into each of ``rows``:
+    one label per row; each non-identity label acts on the rows holding it."""
     for q in qubits:
-        label = "IXYZ"[rng.integers(4)]
-        if label != "I":
-            amps = _apply_1q(amps, _PAULI_1Q[label], q, n)
-    return amps
+        labels = rng.integers(4, size=rows.size)
+        for label in (1, 2, 3):
+            hit = rows[labels == label]
+            if hit.size:
+                block[hit] = _apply_1q(block[hit], _PAULI_1Q["IXYZ"[label]], q, n)
+    return block
+
+
+@dataclass(frozen=True)
+class PostSelect:
+    """Trajectory step: keep the part of the state with ``qubit`` = 1."""
+
+    qubit: int
+
+
+def run_trajectories(
+    program: list[Gate | np.ndarray | PostSelect],
+    psi0: StateVector,
+    shots: int,
+    rng: np.random.Generator,
+    noise: NoiseModel | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run ``shots`` trajectories of ``program`` from ``psi0`` as one block.
+
+    A step is a ``Gate``, a dense unitary on the whole register (noiseless),
+    or a ``PostSelect`` (noiseless). With ``noise``, whether each gate of
+    each shot is followed by a depolarizing event is drawn up front; an
+    event injects a uniform Pauli on the gate's qubits.
+
+    Returns ``(amplitudes, kept, noisy_shots)``. ``amplitudes`` has shape
+    ``(1 + len(noisy_shots), 2**n)``: row 0 is the noise-free trajectory
+    that every shot without an event shares, and row ``r >= 1`` is shot
+    ``noisy_shots[r - 1]``. ``kept[r, j]`` is the probability that row
+    ``r`` passes post-selection ``j``, given it passed the earlier ones;
+    each row is renormalised after each post-selection (a row with nothing
+    kept becomes zero).
+    """
+    n = psi0.n_qubits
+    noisy_shots = np.zeros(0, dtype=int)
+    if noise is not None:
+        gates = [step for step in program if isinstance(step, Gate)]
+        noisy_shots, events = _noise_events(gates, noise, shots, rng)
+
+    block = np.tile(psi0.amplitudes, (1 + noisy_shots.size, 1))
+    kept = []
+    g_idx = 0
+    for step in program:
+        if isinstance(step, Gate):
+            block = _apply_gate(block, step, n)
+            if noisy_shots.size:
+                hit = np.flatnonzero(events[:, g_idx]) + 1
+                block = _inject_pauli(block, hit, step.qubits, n, rng)
+            g_idx += 1
+        elif isinstance(step, PostSelect):
+            block = _apply_1q(block, _PROJECTORS[1], step.qubit, n)
+            p = np.sum(np.abs(block) ** 2, axis=1)
+            block /= np.sqrt(np.where(p > 0, p, 1.0))[:, None]
+            kept.append(p)
+        else:
+            block = block @ step.T
+    return block, np.array(kept).T.reshape(block.shape[0], len(kept)), noisy_shots
 
 
 def run_noisy(
@@ -357,15 +424,7 @@ def run_noisy(
         raise SimulationError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
-    gate_probs = np.array([noise.gate_probability(g) for g in circuit.gates])
-
-    # Decide per shot which gates fire a noise event.
-    if gate_probs.size:
-        events = rng.random((shots, gate_probs.size)) < gate_probs[None, :]
-    else:
-        events = np.zeros((shots, 0), dtype=bool)
-    noisy_shots = np.flatnonzero(events.any(axis=1))
-
+    noisy_shots, events = _noise_events(circuit.gates, noise, shots, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
     out: Counter[str] = Counter()
 
@@ -374,13 +433,14 @@ def run_noisy(
         clean_seed = int(rng.integers(2**63))
         out.update(sample(clean, n_clean, clean_seed))
 
-    for shot in noisy_shots:
-        amps = StateVector.zero(n).amplitudes
-        for g_idx, gate in enumerate(circuit.gates):
+    row = np.zeros(1, dtype=int)
+    for shot_events in events:
+        amps = StateVector.zero(n).amplitudes[None]
+        for gate, event in zip(circuit.gates, shot_events):
             amps = _apply_gate(amps, gate, n)
-            if events[shot, g_idx]:
-                amps = _inject_pauli(amps, gate.qubits, n, rng)
-        probs = np.abs(amps) ** 2
+            if event:
+                amps = _inject_pauli(amps, row, gate.qubits, n, rng)
+        probs = np.abs(amps[0]) ** 2
         probs /= probs.sum()
         idx = rng.choice(probs.size, p=probs)
         out[format(idx, f"0{n}b")] += 1

@@ -7,10 +7,12 @@ states (first and last lattice site) after every timestep.
 
 The sampled absorbing path emulates post-selection: a one-ancilla detector
 circuit flags interior states, the ancilla is measured mid-walk, and
-trajectories that hit a boundary are discarded. Evolution steps are applied
-exactly (dense exponential); depolarizing noise, when requested, attaches
-to the detector's gates and to the X that resets the ancilla to |0> after
-each mid-walk collapse, which counts as a noisy 1-qubit gate (p1).
+trajectories that hit a boundary are discarded. Each mid-walk step is one
+program for ``qcore``'s shot-batched trajectory engine (``run_trajectories``):
+the exact evolution (dense exponential), the detector's gates, a
+post-selection of the ancilla on 1, and an X gate that resets the ancilla
+to |0>. Depolarizing noise, when requested, attaches to every gate of that
+program, so to the detector's gates and to the reset X (p1).
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Circuit, Gate, NoiseModel, StateVector, evolution_operator
-from .qcore.sim import _apply_gate, _inject_pauli
+from .qcore import (Circuit, Gate, NoiseModel, PostSelect, StateVector,
+                    evolution_operator, run_trajectories)
 
 
 class WalkError(ValueError):
@@ -91,8 +93,11 @@ def calibrated_walk_model(
         return float(np.linalg.eigvalsh(dense)[0])
 
     lo, hi = -abs(ground_energy) - 2 * abs(coupling), 0.0
-    if not lam_min(lo) <= ground_energy <= lam_min(hi):
+    top = lam_min(hi)
+    if not lam_min(lo) <= ground_energy <= top:
         raise WalkError(f"target {ground_energy} not bracketed by drift range")
+    if top == ground_energy:  # else lo would descend through the subnormals
+        return WalkModel(n_states, hi, coupling, dt)
     mid = (lo + hi) / 2
     while lo < mid < hi:  # stop once lo and hi are adjacent doubles
         if lam_min(mid) < ground_energy:
@@ -187,98 +192,6 @@ def _exact_absorbing(model: WalkModel, psi0: StateVector, steps: int) -> WalkRes
     return WalkResult(kind="absorbing-exact", tables=tables, survival=survival)
 
 
-def _collapse_to_interior(amps: np.ndarray, n_main: int) -> tuple[float, np.ndarray]:
-    """Probability of ancilla=1 and the renormalized post-measurement state
-    with the ancilla reset to |0> (one X after collapse)."""
-    full = amps.reshape(-1, 2)
-    p1 = float(np.sum(np.abs(full[:, 1]) ** 2))
-    post = np.zeros_like(full)
-    if p1 > 0:
-        post[:, 0] = full[:, 1] / np.sqrt(p1)
-    return p1, post.reshape(-1)
-
-
-def _sampled_arm(
-    model: WalkModel,
-    u_full: np.ndarray,
-    detector: Circuit,
-    psi0: StateVector,
-    arm: int,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One post-selection experiment measuring the lattice at timestep ``arm``.
-
-    Returns (state counts, alive mask, ancilla outcomes per mid-step). Shots
-    without a noise event share the deterministic trajectory and are drawn
-    in a single batch; per-shot uniforms are drawn up front either way, so
-    the output distribution matches literal shot-by-shot simulation.
-    """
-    n_main = model.n_qubits
-    n_full = n_main + 1
-    n_mid = arm - 1
-
-    # Gate stream per mid-step: detector gates then the ancilla reset X.
-    step_gates = list(detector.gates) + [Gate("X", (n_main,))]
-    survival_draws = rng.random((shots, n_mid)) if n_mid else np.zeros((shots, 0))
-    final_draws = rng.random(shots)
-    if noise is not None and n_mid:
-        probs = np.array([noise.gate_probability(g) for g in step_gates] * n_mid)
-        events = rng.random((shots, probs.size)) < probs[None, :]
-    else:
-        events = np.zeros((shots, 0), dtype=bool)
-    noisy_shots = set(np.flatnonzero(events.any(axis=1)).tolist())
-
-    # Deterministic (injection-free) trajectory.
-    amps = np.kron(psi0.amplitudes, [1.0, 0.0])
-    clean_p1 = np.zeros(n_mid)
-    for j in range(n_mid):
-        amps = u_full @ amps
-        for gate in detector.gates:
-            amps = _apply_gate(amps, gate, n_full)
-        clean_p1[j], amps = _collapse_to_interior(amps, n_main)
-    amps = u_full @ amps
-    clean_final = (np.abs(amps.reshape(-1, 2)) ** 2).sum(axis=1)
-    clean_cdf = np.cumsum(clean_final / max(clean_final.sum(), 1e-300))
-
-    outcomes = survival_draws < clean_p1[None, :]
-    counts = np.zeros(model.n_states, dtype=np.int64)
-
-    clean_mask = np.ones(shots, dtype=bool)
-    for shot in noisy_shots:
-        clean_mask[shot] = False
-    alive = clean_mask & outcomes.all(axis=1)
-    idx = np.searchsorted(clean_cdf, final_draws[alive])
-    np.add.at(counts, np.minimum(idx, model.n_states - 1), 1)
-
-    for shot in sorted(noisy_shots):
-        amps = np.kron(psi0.amplitudes, [1.0, 0.0])
-        dead = False
-        for j in range(n_mid):
-            amps = u_full @ amps
-            for g_idx, gate in enumerate(step_gates[:-1]):
-                amps = _apply_gate(amps, gate, n_full)
-                if events[shot, j * len(step_gates) + g_idx]:
-                    amps = _inject_pauli(amps, gate.qubits, n_full, rng)
-            p1, amps = _collapse_to_interior(amps, n_main)
-            outcomes[shot, j] = survival_draws[shot, j] < p1
-            if not outcomes[shot, j]:
-                dead = True
-                break
-            # ancilla reset X (possibly noisy)
-            if events[shot, (j + 1) * len(step_gates) - 1]:
-                amps = _inject_pauli(amps, (n_main,), n_full, rng)
-        if dead:
-            continue
-        alive[shot] = True
-        amps = u_full @ amps
-        final = (np.abs(amps.reshape(-1, 2)) ** 2).sum(axis=1)
-        cdf = np.cumsum(final / final.sum())
-        counts[min(np.searchsorted(cdf, final_draws[shot]), model.n_states - 1)] += 1
-    return counts, alive, outcomes
-
-
 def _sampled_absorbing(
     model: WalkModel,
     psi0: StateVector,
@@ -287,23 +200,44 @@ def _sampled_absorbing(
     seed: int,
     noise: NoiseModel | None,
 ) -> WalkResult:
-    if shots < 1:
-        raise WalkError("sampled path requires shots >= 1")
-    u_main = evolution_operator(build_walk_hamiltonian(model), model.dt)
-    u_full = np.kron(u_main, np.eye(2))
-    detector = boundary_detector(model.n_qubits)
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise WalkError("sampled path requires an integer shots >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise WalkError("seed must be a non-negative integer")
+    n_main = model.n_qubits
+    u_full = np.kron(evolution_operator(build_walk_hamiltonian(model), model.dt), np.eye(2))
+    # One mid-walk step: evolve, flag interior states on the ancilla, keep
+    # ancilla = 1, and reset it to |0> with a (noisy) X.
+    mid_step = [u_full, *boundary_detector(n_main).gates, PostSelect(n_main),
+                Gate("X", (n_main,))]
+    start = StateVector(n_main + 1, np.kron(psi0.amplitudes, [1.0, 0.0]))
 
     tables = [np.abs(psi0.amplitudes) ** 2]
     survival = [1.0]
     accepted = [shots]
     for arm in range(1, steps + 1):
+        # Arm k measures the lattice after k steps: k - 1 post-selections.
         rng = np.random.default_rng([seed, arm])
-        counts, alive, outcomes = _sampled_arm(
-            model, u_full, detector, psi0, arm, shots, rng, noise
-        )
+        survival_draws = rng.random((shots, arm - 1))
+        final_draws = rng.random(shots)
+        program = mid_step * (arm - 1) + [u_full]
+        amps, kept, noisy = run_trajectories(program, start, shots, rng, noise)
+        # A shot survives iff each of its uniforms falls below the kept
+        # probability its row recorded at that post-selection; survivors
+        # then draw a lattice state by inverse CDF on their row.
+        clean_alive = (survival_draws < kept[0]).all(axis=1)
+        clean_alive[noisy] = False
+        noisy_alive = (survival_draws[noisy] < kept[1:]).all(axis=1)
+        cdf = np.cumsum((np.abs(amps.reshape(amps.shape[0], -1, 2)) ** 2).sum(axis=2), axis=1)
+        picks = np.concatenate([
+            np.searchsorted(cdf[0], final_draws[clean_alive]),
+            (cdf[1:][noisy_alive] < final_draws[noisy[noisy_alive], None]).sum(axis=1),
+        ])
+        counts = np.bincount(np.minimum(picks, model.n_states - 1), minlength=model.n_states)
+        del survival_draws  # before the next arm draws a larger block
         tables.append(counts / shots)
-        survival.append(float(alive.sum()) / shots)
-        accepted.append(int(alive.sum()))
+        survival.append(picks.size / shots)
+        accepted.append(picks.size)
     return WalkResult(
         kind="absorbing-sampled",
         tables=tables,

@@ -12,14 +12,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
+def package_import_nodes():
+    """(module path, import node) for every import statement under src/quatro."""
+    for path in sorted((ROOT / "src" / "quatro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path, node
+
+
 def imported_top_level_names():
     names = set()
-    for path in (ROOT / "src" / "quatro").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    for _, node in package_import_nodes():
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif node.level == 0:
+            names.add(node.module.split(".")[0])
     return names
 
 
@@ -33,3 +40,14 @@ def test_every_script_target_resolves():
     for target in PROJECT.get("scripts", {}).values():
         module_name, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module_name), attr)), target
+
+
+def test_no_module_imports_private_names():
+    private = [
+        f"{path.relative_to(ROOT)}: {alias.name}"
+        for path, node in package_import_nodes()
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -6,6 +6,7 @@ from quatro.qcore import (
     NoiseModel,
     PauliString,
     PauliSum,
+    PostSelect,
     SimulationError,
     StateVector,
     apply_circuit,
@@ -13,6 +14,7 @@ from quatro.qcore import (
     measure_and_collapse,
     measure_probs,
     run_noisy,
+    run_trajectories,
     sample,
 )
 from .test_pauli import random_hermitian
@@ -208,10 +210,57 @@ class TestNoise:
             NoiseModel(p1=1.5)
 
 
+class TestTrajectories:
+    # X on qubit 0 as a dense step, then a Bell pair, then keep qubit 1 = 1.
+    program = [
+        np.kron(PauliString("X").matrix(), np.eye(2)),
+        *Circuit(2).h(0).cnot(0, 1).gates,
+        PostSelect(1),
+    ]
+
+    def test_noise_free_run_is_one_row(self):
+        amps, kept, noisy = run_trajectories(
+            self.program, StateVector.zero(2), 50, np.random.default_rng(0)
+        )
+        assert amps.shape == (1, 4) and kept.shape == (1, 1) and noisy.size == 0
+        assert kept[0, 0] == pytest.approx(0.5)
+        assert np.allclose(amps[0], [0, 0, 0, -1])  # (|00> - |11>)/sqrt2, kept -|11>
+
+    def test_each_noisy_shot_gets_its_own_row(self):
+        shots = 50
+        amps, kept, noisy = run_trajectories(
+            self.program, StateVector.zero(2), shots, np.random.default_rng(0),
+            NoiseModel(1.0, 1.0),
+        )
+        assert np.array_equal(noisy, np.arange(shots))
+        assert amps.shape == (1 + shots, 4) and kept.shape == (1 + shots, 1)
+        # Kept rows are renormalised; rows with nothing kept are zero.
+        norms = np.linalg.norm(amps, axis=1)
+        assert np.allclose(norms, kept[:, 0] > 0)
+        assert np.allclose(np.abs(amps[:, [0, 2]]), 0.0)
+
+
 class TestStateVector:
     def test_norm_invariant_enforced(self):
         with pytest.raises(SimulationError):
             StateVector(1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StateVector(1, [np.nan, 0.0]),
+            lambda: StateVector.from_amplitudes([0, 0]),
+            lambda: StateVector.from_amplitudes([np.nan, 1]),
+            lambda: StateVector.from_amplitudes([np.inf, 1]),
+            lambda: apply_circuit(Circuit(1).ry(np.nan, 0), StateVector.zero(1)),
+            lambda: evolve(np.eye(2), np.nan, StateVector.zero(1)),
+        ],
+        ids=["nan-state", "zero-amplitudes", "nan-amplitudes", "inf-amplitudes",
+             "ry-nan", "evolve-t-nan"],
+    )
+    def test_nan_and_zero_norm_rejected(self, make):
+        with pytest.raises(SimulationError):
+            make()
 
     def test_from_amplitudes_normalizes(self):
         psi = StateVector.from_amplitudes([3, 4])

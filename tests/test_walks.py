@@ -130,6 +130,21 @@ class TestHamiltonian:
         dense = build_walk_hamiltonian(model)
         assert np.linalg.eigvalsh(dense)[0] == pytest.approx(energy, abs=1e-9)
 
+    def test_calibration_to_the_drift_free_ground_energy_stops(self, monkeypatch):
+        import quatro.walks as walks
+
+        e0 = np.linalg.eigvalsh(build_walk_hamiltonian(WalkModel(4, 0.0, 1.0)))[0]
+        builds = []
+
+        def counted(model):
+            builds.append(model)
+            return build_walk_hamiltonian(model)
+
+        monkeypatch.setattr(walks, "build_walk_hamiltonian", counted)
+        model = calibrated_walk_model(4, 1.0, float(e0))
+        assert len(builds) <= 64
+        assert model.drift == 0.0
+
     def test_pauli_form_matches_dense(self):
         dense = build_walk_hamiltonian(WalkModel(8, drift=-0.7, coupling=0.9))
         ps = pauli_decompose(dense)
@@ -283,19 +298,20 @@ class TestAbsorbing:
                 assert abs(p_hat - p_exact) <= 5 * sigma + 1e-9
 
     def test_accepted_trajectories_never_saw_boundary(self):
-        from quatro.qcore import evolution_operator
-        from quatro.walks import _sampled_arm, boundary_detector
-
+        # A shot is accepted only if every mid-walk post-selection kept it,
+        # so the accepted share at arm k follows the exact probability of
+        # surviving all k - 1 boundary projections (0.36, 0.13, 0.048 at
+        # arms 2-4); a sampler that checked only the last one fails this.
         model = WalkModel(4, -0.5, 1.0)
-        dense = build_walk_hamiltonian(model)
-        u_full = np.kron(evolution_operator(dense, 1.0), np.eye(2))
-        rng = np.random.default_rng(3)
         psi = StateVector.basis(2, 1)
-        counts, alive, outcomes = _sampled_arm(
-            model, u_full, boundary_detector(2), psi, 4, 500, rng, None
-        )
-        assert np.all(outcomes[alive].all(axis=1))
-        assert counts.sum() == alive.sum()
+        shots = 500
+        exact = absorbing_walk(model, psi, 4)
+        res = absorbing_walk(model, psi, 4, shots=shots, seed=3)
+        for k in range(1, 5):
+            p = exact.survival[k]
+            sigma = np.sqrt(max(p * (1 - p), 1e-12) / shots)
+            assert abs(res.accepted_shots[k] / shots - p) <= 5 * sigma + 1e-9
+            assert round(res.tables[k].sum() * shots) == res.accepted_shots[k]
 
     def test_sampled_path_deterministic(self):
         model = WalkModel(4, -0.5, 1.0)
@@ -305,10 +321,11 @@ class TestAbsorbing:
         for ta, tb in zip(a.tables, b.tables):
             assert np.array_equal(ta, tb)
 
-    def test_zero_shots_rejected(self):
+    @pytest.mark.parametrize("shots, seed", [(0, 0), (2.5, 0), (10, -1), (10, 1.5)])
+    def test_zero_shots_rejected(self, shots, seed):
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
-            absorbing_walk(model, StateVector.basis(2, 1), 2, shots=0)
+            absorbing_walk(model, StateVector.basis(2, 1), 2, shots=shots, seed=seed)
 
 
 class TestNoisyAbsorbing:
@@ -352,3 +369,15 @@ class TestNoisyAbsorbing:
                 model, psi, steps, shots=shots, seed=31, noise=NoiseModel(p, p)
             )
             assert not outside_five_sigma(noisy.tables, oracle, shots).any()
+
+    def test_heavy_noise_conforms_to_oracle(self):
+        # At p = 0.2 every Pauli label is injected often enough that a wrong
+        # one (a dropped Y, say) moves some state far beyond 5 sigma.
+        model = WalkModel(4, -0.3, 0.7, dt=0.8)
+        psi = StateVector.from_amplitudes([1, 2j, 1, 0])
+        noise = NoiseModel(0.2, 0.1)
+        shots = 20_000
+        oracle = noisy_absorbing_oracle(model, psi, 4, noise)
+        assert outside_five_sigma(absorbing_walk(model, psi, 4).tables, oracle, shots).any()
+        noisy = absorbing_walk(model, psi, 4, shots=shots, seed=7, noise=noise)
+        assert not outside_five_sigma(noisy.tables, oracle, shots).any()
