@@ -2,12 +2,14 @@
 
 States live on n <= ~10 qubits as complex vectors of length 2^n. Basis
 index i renders as the bitstring of i with qubit 0 leftmost (most
-significant). Evolution is exact (Hermitian eigendecomposition); noise is
-a per-gate depolarizing channel realized by Pauli-twirl trajectory
-sampling, not density matrices.
+significant). Every gate, injected Pauli and projector compiles once (and
+is cached) into a gather over the register, which one kernel applies.
+Evolution is exact (Hermitian eigendecomposition); noise is a per-gate
+depolarizing channel realized by Pauli-twirl trajectory sampling.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,10 +19,7 @@ from .pauli import PauliString, PauliSum
 
 _NORM_TOL = 1e-10
 
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PAULI_1Q = {c: PauliString(c).matrix() for c in "IXYZ"}
-_X_MAT = _PAULI_1Q["X"]
-_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # onto qubit = 0, 1
 
 
 class SimulationError(ValueError):
@@ -137,6 +136,8 @@ class Circuit:
         matrix = np.asarray(matrix, dtype=complex)
         if len(qubits) not in (1, 2) or matrix.shape != (2 ** len(qubits),) * 2:
             raise SimulationError("generic unitaries are 1- or 2-qubit only")
+        if not np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max() <= _NORM_TOL:
+            raise SimulationError("matrix is not unitary")
         self.gates.append(Gate("U", tuple(qubits), matrix=matrix))
         return self
 
@@ -144,77 +145,73 @@ class Circuit:
         return len(self.gates)
 
 
-def _ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+# Each kind's matrix on its qubits, controls first, the first qubit being the
+# most significant bit of the matrix index; a callable takes the gate's param.
+_KIND_MATRIX = {
+    **_PAULI_1Q,
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    0: np.diag([1.0, 0.0]),  # projectors onto qubit = 0, 1, keyed apart from gate kinds
+    1: np.diag([0.0, 1.0]),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
+    "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+    "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
+    "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
+    "CRX": lambda t: np.diag([1, 1, 0, 0]) + np.kron(
+        np.diag([0, 1]), np.cos(t / 2) * _PAULI_1Q["I"] - 1j * np.sin(t / 2) * _PAULI_1Q["X"]),
+}
+_COMPILED_GATES = 128  # distinct compiled gates kept; a walk or circuit uses a few dozen
 
 
-def _rx_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+@functools.lru_cache(maxsize=_COMPILED_GATES)
+def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
+    """One gate on an n-qubit register as a gather ``(src, w)``:
+    ``out[j] = sum_t w[t, j] * in[src[t, j]]``, one term ``t`` per nonzero
+    in the fullest row of the gate's matrix. ``kind`` is a gate kind or a
+    projector's outcome; ``param`` is the angle, or a ``U``'s matrix bytes."""
+    k = len(qubits)
+    if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
+        raise SimulationError(f"qubits {qubits} invalid for a {n}-qubit register")
+    if kind != "U" and kind not in _KIND_MATRIX:
+        raise SimulationError(f"unknown gate kind {kind}")
+    m = np.frombuffer(param, dtype=complex) if kind == "U" else _KIND_MATRIX[kind]
+    m = m(param) if callable(m) else m
+    if m.size != 4**k:
+        raise SimulationError(f"{kind} is not a {k}-qubit gate")
+    m = m.reshape(2**k, 2**k)
+    bits = [(k - 1 - i, n - 1 - q) for i, q in enumerate(qubits)]  # matrix bit, register bit
+    j, c = np.arange(2**n), np.arange(2**k)
+    row = sum(((j >> r) & 1) << b for b, r in bits)
+    col = sum(((c >> b) & 1) << r for b, r in bits) + (j & ~sum(1 << r for _, r in bits))[:, None]
+    # Each row's nonzero columns first; padding terms get weight 0.
+    nonzero = m != 0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max()]
+    src = np.ascontiguousarray(np.take_along_axis(col, cols[row], axis=1).T)
+    w = np.ascontiguousarray(np.take_along_axis(m, cols, axis=1)[row].T)
+    src.flags.writeable = w.flags.writeable = False
+    return src, w
 
 
-def _rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex
-    )
+def _compile_step(step: Gate | np.ndarray | PostSelect, n: int):
+    """A program step checked against the register and compiled: a cached
+    gather for a ``Gate`` (a ``U`` keyed by its matrix bytes) or a
+    ``PostSelect``, the transpose of a dense step."""
+    if isinstance(step, PostSelect):
+        return _compile(1, (step.qubit,), None, n)
+    if isinstance(step, Gate):
+        param = step.param if step.matrix is None else np.asarray(step.matrix, complex).tobytes()
+        return _compile(step.kind, tuple(step.qubits), param, n)
+    if np.shape(step) != (2**n, 2**n):
+        raise SimulationError(f"dense step of shape {np.shape(step)} on {n} qubits")
+    return np.asarray(step).T
 
 
-# Gate kernels take one state vector or a (rows, 2**n) block of them.
-def _apply_1q(block: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = block.reshape(-1, 2**q, 2, 2 ** (n - q - 1))
-    return (m @ t).reshape(block.shape)
-
-
-def _apply_controlled_1q(
-    block: np.ndarray, m: np.ndarray, controls: tuple[int, ...], target: int, n: int
-) -> np.ndarray:
-    t = block.reshape([-1] + [2] * n).copy()
-    sel: list[slice | int] = [slice(None)] * (n + 1)
-    for c in controls:
-        sel[c + 1] = 1
-    sub = t[tuple(sel)]
-    below = target - sum(1 for c in controls if c < target)
-    t[tuple(sel)] = (m @ sub.reshape(sub.shape[0], 2**below, 2, -1)).reshape(sub.shape)
-    return t.reshape(block.shape)
-
-
-def _apply_2q(block: np.ndarray, m: np.ndarray, q0: int, q1: int, n: int) -> np.ndarray:
-    t = block.reshape([-1] + [2] * n)
-    m4 = m.reshape(2, 2, 2, 2)
-    t = np.tensordot(m4, t, axes=([2, 3], [q0 + 1, q1 + 1]))
-    t = np.moveaxis(t, [0, 1], [q0 + 1, q1 + 1])
-    return t.reshape(block.shape)
-
-
-def _gate_unitary(gate: Gate) -> tuple[np.ndarray, str]:
-    """Return (matrix, mode); mode is 'plain' or 'controlled'."""
-    if gate.kind == "H":
-        return _H_MAT, "plain"
-    if gate.kind == "X":
-        return _X_MAT, "plain"
-    if gate.kind == "RY":
-        return _ry_matrix(gate.param), "plain"
-    if gate.kind == "RZ":
-        return _rz_matrix(gate.param), "plain"
-    if gate.kind == "CNOT":
-        return _X_MAT, "controlled"
-    if gate.kind == "CRX":
-        return _rx_matrix(gate.param), "controlled"
-    if gate.kind == "TOFFOLI":
-        return _X_MAT, "controlled"
-    if gate.kind == "U":
-        return gate.matrix, "plain"
-    raise SimulationError(f"unknown gate kind {gate.kind}")
-
-
-def _apply_gate(block: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    m, mode = _gate_unitary(gate)
-    if mode == "controlled":
-        return _apply_controlled_1q(block, m, gate.qubits[:-1], gate.qubits[-1], n)
-    if len(gate.qubits) == 1:
-        return _apply_1q(block, m, gate.qubits[0], n)
-    return _apply_2q(block, m, gate.qubits[0], gate.qubits[1], n)
+def _apply(block: np.ndarray, op) -> np.ndarray:
+    """Apply a compiled gate to one state vector or a ``(rows, 2**n)`` block."""
+    src, w = op
+    out = block[..., src[0]] * w[0]
+    for s, x in zip(src[1:], w[1:]):
+        out += block[..., s] * x
+    return out
 
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
@@ -225,7 +222,7 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
         )
     amps = psi.amplitudes.copy()
     for gate in circuit.gates:
-        amps = _apply_gate(amps, gate, circuit.n_qubits)
+        amps = _apply(amps, _compile_step(gate, circuit.n_qubits))
     norm = np.sum(np.abs(amps) ** 2)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise SimulationError(f"norm drifted to {norm}")
@@ -289,16 +286,16 @@ def measure_and_collapse(
 ) -> tuple[int, StateVector]:
     """Projectively measure one qubit; return (outcome, collapsed state)."""
     n = psi.n_qubits
-    p1 = float(np.sum(np.abs(_apply_1q(psi.amplitudes, _PROJECTORS[1], qubit, n)) ** 2))
+    kept = [_apply(psi.amplitudes, _compile(b, (qubit,), None, n)) for b in (0, 1)]
+    p1 = float(np.sum(np.abs(kept[1]) ** 2))
     outcome = 1 if rng.random() < p1 else 0
-    collapsed = _apply_1q(psi.amplitudes, _PROJECTORS[outcome], qubit, n)
-    return outcome, StateVector(n, collapsed / np.sqrt(p1 if outcome else 1.0 - p1))
+    return outcome, StateVector(n, kept[outcome] / np.sqrt(p1 if outcome else 1.0 - p1))
 
 
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
     """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed."""
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise SimulationError("shots must be an integer >= 1")
     rng = np.random.default_rng(seed)
     probs = psi.probabilities()
     probs = probs / probs.sum()
@@ -351,7 +348,7 @@ def _inject_pauli(block: np.ndarray, rows: np.ndarray, qubits: tuple[int, ...],
         for label in (1, 2, 3):
             hit = rows[labels == label]
             if hit.size:
-                block[hit] = _apply_1q(block[hit], _PAULI_1Q["IXYZ"[label]], q, n)
+                block[hit] = _apply(block[hit], _compile("IXYZ"[label], (q,), None, n))
     return block
 
 
@@ -372,9 +369,11 @@ def run_trajectories(
     """Run ``shots`` trajectories of ``program`` from ``psi0`` as one block.
 
     A step is a ``Gate``, a dense unitary on the whole register (noiseless),
-    or a ``PostSelect`` (noiseless). With ``noise``, whether each gate of
-    each shot is followed by a depolarizing event is drawn up front; an
-    event injects a uniform Pauli on the gate's qubits.
+    or a ``PostSelect`` (noiseless). Each step is compiled once, a gate or a
+    post-selection to a gather, before any runs; a step that does not fit
+    the register raises ``SimulationError``. With ``noise``, whether each
+    gate of each shot is followed by a depolarizing event is drawn up front;
+    an event injects a uniform Pauli on the gate's qubits.
 
     Returns ``(amplitudes, kept, noisy_shots)``. ``amplitudes`` has shape
     ``(1 + len(noisy_shots), 2**n)``: row 0 is the noise-free trajectory
@@ -385,6 +384,7 @@ def run_trajectories(
     kept becomes zero).
     """
     n = psi0.n_qubits
+    ops = [_compile_step(step, n) for step in program]
     noisy_shots = np.zeros(0, dtype=int)
     if noise is not None:
         gates = [step for step in program if isinstance(step, Gate)]
@@ -393,20 +393,17 @@ def run_trajectories(
     block = np.tile(psi0.amplitudes, (1 + noisy_shots.size, 1))
     kept = []
     g_idx = 0
-    for step in program:
+    for step, op in zip(program, ops):
+        block = block @ op if isinstance(op, np.ndarray) else _apply(block, op)
         if isinstance(step, Gate):
-            block = _apply_gate(block, step, n)
             if noisy_shots.size:
                 hit = np.flatnonzero(events[:, g_idx]) + 1
                 block = _inject_pauli(block, hit, step.qubits, n, rng)
             g_idx += 1
         elif isinstance(step, PostSelect):
-            block = _apply_1q(block, _PROJECTORS[1], step.qubit, n)
             p = np.sum(np.abs(block) ** 2, axis=1)
             block /= np.sqrt(np.where(p > 0, p, 1.0))[:, None]
             kept.append(p)
-        else:
-            block = block @ step.T
     return block, np.array(kept).T.reshape(block.shape[0], len(kept)), noisy_shots
 
 
@@ -420,10 +417,11 @@ def run_noisy(
     injection share the ideal final state; they are drawn in one batch,
     which leaves the output distribution unchanged.
     """
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
+    if not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise SimulationError("shots must be an integer >= 1")
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
+    ops = [_compile_step(gate, n) for gate in circuit.gates]
     noisy_shots, events = _noise_events(circuit.gates, noise, shots, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
     out: Counter[str] = Counter()
@@ -436,8 +434,8 @@ def run_noisy(
     row = np.zeros(1, dtype=int)
     for shot_events in events:
         amps = StateVector.zero(n).amplitudes[None]
-        for gate, event in zip(circuit.gates, shot_events):
-            amps = _apply_gate(amps, gate, n)
+        for gate, op, event in zip(circuit.gates, ops, shot_events):
+            amps = _apply(amps, op)
             if event:
                 amps = _inject_pauli(amps, row, gate.qubits, n, rng)
         probs = np.abs(amps[0]) ** 2

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,95 @@ def taylor_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
         term = (-1j * t / k) * (h @ term)
         out += term
     return out
+
+
+# Textbook single-qubit matrices for the reference gates below.
+I2 = np.eye(2)
+X = np.array([[0, 1], [1, 0]])
+H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+P1 = np.diag([0, 1])
+
+
+def ry(t):
+    return np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
+
+
+def rz(t):
+    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+
+
+def rx(t):
+    return np.array([[np.cos(t / 2), -1j * np.sin(t / 2)], [-1j * np.sin(t / 2), np.cos(t / 2)]])
+
+
+def on(n, ops):
+    """Kronecker product over qubits 0..n-1 (qubit 0 leftmost) of ``ops[q]``,
+    the identity on qubits not in ``ops``."""
+    return functools.reduce(np.kron, [ops.get(q, I2) for q in range(n)])
+
+
+def controlled(n, controls, target, m):
+    """I - P + P (x) m, with P the projector onto every control = 1."""
+    ones = {c: P1 for c in controls}
+    return np.eye(2**n) - on(n, ones) + on(n, {**ones, target: m})
+
+
+def dense_on(n, qubits, u):
+    """Sum of u[r, c] |r><c| spread over ``qubits``, the first qubit being
+    the most significant bit of u's index."""
+    k, out = len(qubits), 0
+    for r, c in itertools.product(range(2**k), repeat=2):
+        r_bits, c_bits = format(r, f"0{k}b"), format(c, f"0{k}b")
+        units = {q: np.outer(I2[int(a)], I2[int(b)]) for q, a, b in zip(qubits, r_bits, c_bits)}
+        out = out + u[r, c] * on(n, units)
+    return out
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+ARITY = {"H": 1, "X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "CRX": 2, "TOFFOLI": 3, "U1": 1, "U2": 2}
+
+
+def gate_and_reference(kind, n, q, rng):
+    """A one-gate circuit and its full-register matrix, built independently."""
+    c, t = Circuit(n), rng.uniform(-np.pi, np.pi)
+    if kind == "H":
+        return c.h(*q), on(n, {q[0]: H})
+    if kind == "X":
+        return c.x(*q), on(n, {q[0]: X})
+    if kind == "RY":
+        return c.ry(t, *q), on(n, {q[0]: ry(t)})
+    if kind == "RZ":
+        return c.rz(t, *q), on(n, {q[0]: rz(t)})
+    if kind == "CNOT":
+        return c.cnot(*q), controlled(n, q[:1], q[1], X)
+    if kind == "CRX":
+        return c.crx(t, *q), controlled(n, q[:1], q[1], rx(t))
+    if kind == "TOFFOLI":
+        return c.toffoli(*q), controlled(n, q[:2], q[2], X)
+    u = haar_unitary(rng, 2 ** len(q))
+    return c.unitary(u, *q), dense_on(n, q, u)
+
+
+class TestGateReference:
+    """Every gate kind on every ordered placement of its qubits, from a
+    random complex state, against a matrix built in this file."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", list(ARITY))
+    def test_matches_textbook_matrix(self, kind, n):
+        rng = np.random.default_rng(n)
+        for qubits in itertools.permutations(range(n), ARITY[kind]):
+            psi = StateVector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+            circuit, full = gate_and_reference(kind, n, qubits, rng)
+            expected = full @ psi.amplitudes
+            out = apply_circuit(circuit, psi).amplitudes
+            rows, _, _ = run_trajectories(circuit.gates, psi, 1, rng)
+            assert np.max(np.abs(out - expected)) < 1e-12, qubits
+            assert np.max(np.abs(rows[0] - expected)) < 1e-12, qubits
 
 
 class TestEvolve:
@@ -115,6 +208,54 @@ class TestApplyCircuit:
         with pytest.raises(SimulationError):
             Circuit(2).cnot(1, 1)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [2 * np.eye(2), [[1, 1], [0, 1]], np.full((2, 2), np.nan), np.eye(4)[[0, 1, 3, 3]]],
+        ids=["scaled", "shear", "nan", "singular-2q"],
+    )
+    def test_non_unitary_matrix_rejected(self, matrix):
+        with pytest.raises(SimulationError):
+            Circuit(2).unitary(matrix, *range(int(np.log2(len(matrix)))))
+
+    def test_distinct_angles_retain_bounded_memory(self):
+        # Compiled gates are cached; thousands of distinct angles must not all
+        # stay alive (a bounded cache retains about 0.4 MB, an unbounded one 5 MB).
+        rng = np.random.default_rng(0)
+        psi = StateVector.zero(6)
+        apply_circuit(Circuit(6).ry(0.5, 3), psi)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for theta in rng.uniform(0, 2 * np.pi, 2000):
+                apply_circuit(Circuit(6).ry(theta, 3), psi)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2_000_000
+
+
+class TestRegisterChecks:
+    """Programs are checked against the register before they run."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda rng: run_trajectories(Circuit(3).x(2).gates, StateVector.zero(2), 10, rng),
+            lambda rng: run_trajectories(Circuit(3).cnot(2, 0).gates, StateVector.zero(2), 10,
+                                         rng, NoiseModel(0.5, 0.5)),
+            lambda rng: apply_circuit(Circuit(2, Circuit(3).x(2).gates), StateVector.zero(2)),
+            lambda rng: run_trajectories([PostSelect(2)], StateVector.zero(2), 10, rng),
+            lambda rng: run_trajectories([PostSelect(-1)], StateVector.zero(2), 10, rng),
+            lambda rng: run_trajectories([np.eye(2)], StateVector.zero(2), 10, rng),
+            lambda rng: measure_and_collapse(StateVector.zero(2), 2, rng),
+        ],
+        ids=["gate", "noisy-gate", "apply-circuit", "post-select", "post-select-negative",
+             "dense-step", "collapse"],
+    )
+    def test_out_of_register_rejected(self, run):
+        with pytest.raises(SimulationError):
+            run(np.random.default_rng(0))
+
 
 class TestMeasure:
     def test_deterministic_state(self):
@@ -178,9 +319,16 @@ class TestSample:
         psi = apply_circuit(Circuit(2).h(0).h(1), StateVector.zero(2))
         assert sample(psi, 5000, 99) == sample(psi, 5000, 99)
 
-    def test_zero_shots_rejected(self):
+    @pytest.mark.parametrize("shots", [0, 2.5])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda shots: sample(StateVector.zero(1), shots, 0),
+         lambda shots: run_noisy(Circuit(1).x(0), NoiseModel(0.1), shots, 0)],
+        ids=["sample", "run_noisy"],
+    )
+    def test_zero_shots_rejected(self, run, shots):
         with pytest.raises(SimulationError):
-            sample(StateVector.zero(1), 0, 0)
+            run(shots)
 
 
 class TestNoise:
