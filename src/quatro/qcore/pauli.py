@@ -85,6 +85,8 @@ class PauliSum:
             c = float(c)
             if c != 0.0:
                 clean[p] = clean.get(p, 0.0) + c
+        if not np.isfinite(list(clean.values())).all():  # also a sum that overflowed
+            raise PauliError(f"non-finite coefficient in {clean}")
         self.terms = {p: c for p, c in clean.items() if c != 0.0}
 
     @property

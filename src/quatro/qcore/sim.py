@@ -10,6 +10,7 @@ depolarizing channel realized by Pauli-twirl trajectory sampling.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,6 +33,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
+            raise SimulationError(f"a state needs at least one qubit, got {self.n_qubits!r}")
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise SimulationError(
@@ -56,9 +59,9 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)
-        n = int(round(np.log2(amps.size)))
-        if 2**n != amps.size:
-            raise SimulationError("amplitude count is not a power of two")
+        if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
+            raise SimulationError(f"{amps.size} amplitudes are not a power of two >= 2")
+        n = amps.size.bit_length() - 1
         norm = np.linalg.norm(amps)
         if not 0 < norm < np.inf:
             raise SimulationError(f"cannot normalise amplitudes of norm {norm}")
@@ -73,14 +76,54 @@ class StateVector:
 
 # --- gates --------------------------------------------------------------
 
+# Each kind's matrix on its qubits, controls first, the first qubit being the
+# most significant bit of the matrix index; a callable takes the gate's param.
+_KIND_MATRIX = {
+    **_PAULI_1Q,
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    0: np.diag([1.0, 0.0]),  # projectors onto qubit = 0, 1, keyed apart from gate kinds
+    1: np.diag([0.0, 1.0]),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],
+    "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+    "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
+    "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
+    "CRX": lambda t: np.diag([1, 1, 0, 0]) + np.kron(
+        np.diag([0, 1]), np.cos(t / 2) * _PAULI_1Q["I"] - 1j * np.sin(t / 2) * _PAULI_1Q["X"]),
+}
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element. ``qubits`` lists controls first, target last."""
+    """One circuit element. ``qubits`` lists controls first, target last.
+
+    Checked when built: a known kind on distinct non-negative qubits of its
+    arity, a finite ``param`` for RY, RZ and CRX, and a unitary ``matrix``
+    for ``U``; anything else raises ``SimulationError``.
+    """
 
     kind: str
     qubits: tuple[int, ...]
     param: float | None = None
     matrix: np.ndarray | None = None  # for generic 1q/2q unitaries
+
+    def __post_init__(self):
+        k = len(self.qubits)
+        if len(set(self.qubits)) != k or not all(
+                isinstance(q, (int, np.integer)) and q >= 0 for q in self.qubits):
+            raise SimulationError(f"invalid qubits {self.qubits}")
+        if self.kind == "U":
+            m = np.asarray(np.nan if self.matrix is None else self.matrix, dtype=complex)
+            if k not in (1, 2) or m.shape != (2**k, 2**k) or not (
+                    np.abs(m.conj().T @ m - np.eye(2**k)).max() <= _NORM_TOL):
+                raise SimulationError(f"U needs a 1- or 2-qubit unitary matrix on {self.qubits}")
+            return
+        m = _KIND_MATRIX.get(self.kind) if isinstance(self.kind, str) else None
+        if callable(m):
+            if not (isinstance(self.param, numbers.Real) and np.isfinite(self.param)):
+                raise SimulationError(f"{self.kind} needs a finite angle, got {self.param!r}")
+            m = m(self.param)
+        if m is None or m.shape != (2**k, 2**k):
+            raise SimulationError(f"{self.kind!r} is not a gate kind on {k} qubits")
 
 
 @dataclass
@@ -133,32 +176,13 @@ class Circuit:
     def unitary(self, matrix: np.ndarray, *qubits: int) -> "Circuit":
         """Generic 1- or 2-qubit unitary."""
         self._check(*qubits)
-        matrix = np.asarray(matrix, dtype=complex)
-        if len(qubits) not in (1, 2) or matrix.shape != (2 ** len(qubits),) * 2:
-            raise SimulationError("generic unitaries are 1- or 2-qubit only")
-        if not np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max() <= _NORM_TOL:
-            raise SimulationError("matrix is not unitary")
-        self.gates.append(Gate("U", tuple(qubits), matrix=matrix))
+        self.gates.append(Gate("U", tuple(qubits), matrix=np.asarray(matrix, dtype=complex)))
         return self
 
     def __len__(self) -> int:
         return len(self.gates)
 
 
-# Each kind's matrix on its qubits, controls first, the first qubit being the
-# most significant bit of the matrix index; a callable takes the gate's param.
-_KIND_MATRIX = {
-    **_PAULI_1Q,
-    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
-    0: np.diag([1.0, 0.0]),  # projectors onto qubit = 0, 1, keyed apart from gate kinds
-    1: np.diag([0.0, 1.0]),
-    "CNOT": np.eye(4)[[0, 1, 3, 2]],
-    "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
-    "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
-    "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
-    "CRX": lambda t: np.diag([1, 1, 0, 0]) + np.kron(
-        np.diag([0, 1]), np.cos(t / 2) * _PAULI_1Q["I"] - 1j * np.sin(t / 2) * _PAULI_1Q["X"]),
-}
 _COMPILED_GATES = 128  # distinct compiled gates kept; a walk or circuit uses a few dozen
 
 
@@ -169,15 +193,10 @@ def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
     in the fullest row of the gate's matrix. ``kind`` is a gate kind or a
     projector's outcome; ``param`` is the angle, or a ``U``'s matrix bytes."""
     k = len(qubits)
-    if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
+    if not all(0 <= q < n for q in qubits):
         raise SimulationError(f"qubits {qubits} invalid for a {n}-qubit register")
-    if kind != "U" and kind not in _KIND_MATRIX:
-        raise SimulationError(f"unknown gate kind {kind}")
     m = np.frombuffer(param, dtype=complex) if kind == "U" else _KIND_MATRIX[kind]
-    m = m(param) if callable(m) else m
-    if m.size != 4**k:
-        raise SimulationError(f"{kind} is not a {k}-qubit gate")
-    m = m.reshape(2**k, 2**k)
+    m = (m(param) if callable(m) else m).reshape(2**k, 2**k)
     bits = [(k - 1 - i, n - 1 - q) for i, q in enumerate(qubits)]  # matrix bit, register bit
     j, c = np.arange(2**n), np.arange(2**k)
     row = sum(((j >> r) & 1) << b for b, r in bits)
@@ -231,9 +250,20 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 
 # --- evolution ----------------------------------------------------------
 
+def _hermitian(h: PauliSum | np.ndarray) -> np.ndarray:
+    """``h`` as a dense matrix, checked to be square, finite and Hermitian
+    (``eigh`` reads one triangle only, so it would pass anything else)."""
+    dense = h.to_dense() if isinstance(h, PauliSum) else np.asarray(h, dtype=complex)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.size == 0:
+        raise SimulationError(f"operator of shape {dense.shape} is not square")
+    if not np.isfinite(dense).all() or np.abs(dense - dense.conj().T).max() > _NORM_TOL:
+        raise SimulationError("operator is not a finite Hermitian matrix")
+    return dense
+
+
 def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
     """Return e^{-iHt} |psi> via Hermitian eigendecomposition (exact)."""
-    dense = h.to_dense() if isinstance(h, PauliSum) else np.asarray(h, dtype=complex)
+    dense = _hermitian(h)
     if dense.shape != (psi.amplitudes.size,) * 2:
         raise SimulationError(
             f"operator shape {dense.shape} does not match state dim {psi.amplitudes.size}"
@@ -249,8 +279,7 @@ def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
 
 def evolution_operator(h: PauliSum | np.ndarray, t: float) -> np.ndarray:
     """Dense e^{-iHt}."""
-    dense = h.to_dense() if isinstance(h, PauliSum) else np.asarray(h, dtype=complex)
-    evals, evecs = np.linalg.eigh(dense)
+    evals, evecs = np.linalg.eigh(_hermitian(h))
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 

@@ -7,12 +7,21 @@ states (first and last lattice site) after every timestep.
 
 The sampled absorbing path emulates post-selection: a one-ancilla detector
 circuit flags interior states, the ancilla is measured mid-walk, and
-trajectories that hit a boundary are discarded. Each mid-walk step is one
-program for ``qcore``'s shot-batched trajectory engine (``run_trajectories``):
-the exact evolution (dense exponential), the detector's gates, a
-post-selection of the ancilla on 1, and an X gate that resets the ancilla
-to |0>. Depolarizing noise, when requested, attaches to every gate of that
-program, so to the detector's gates and to the reset X (p1).
+trajectories that hit a boundary are discarded. Arm k (the lattice measured
+after k steps) runs the exact evolution (dense exponential), then k - 1
+mid-walk steps, each a program for ``qcore``'s shot-batched trajectory engine
+(``run_trajectories``): the detector's gates, a post-selection of the
+ancilla on 1, an X gate that resets the ancilla to |0>, and the evolution.
+Depolarizing noise, when requested, attaches to every gate of that program,
+so to the detector's gates and to the reset X (p1).
+
+Shots without a noise event all follow one noise-free trajectory. That
+prefix is run once for all arms, one mid-walk step per arm, and each arm
+draws its clean shots as one multinomial over the lattice states and the
+absorbed outcome, from the prefix's lattice probabilities and survival.
+Shots with a noise event are rows of the engine, each with its own
+post-selection draws and final inverse-CDF draw. The output law is that of
+sampling every shot on its own; the outputs for a given seed are not.
 """
 from __future__ import annotations
 
@@ -43,6 +52,9 @@ class WalkModel:
             raise WalkError("drift, coupling and dt must be finite")
         if not self.dt > 0:
             raise WalkError("dt must be positive")
+        # Bounds every eigenvalue times dt, so e^{-iH dt} stays finite.
+        if not np.isfinite((abs(self.drift) * (n - 1) + 2 * abs(self.coupling)) * self.dt):
+            raise WalkError("drift, coupling and dt overflow the walk's phases")
 
     @property
     def n_qubits(self) -> int:
@@ -112,6 +124,8 @@ def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResu
     """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise WalkError("steps must be an integer >= 0")
     u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     amps = psi0.amplitudes.copy()
     tables = [np.abs(amps) ** 2]
@@ -206,38 +220,49 @@ def _sampled_absorbing(
         raise WalkError("seed must be a non-negative integer")
     n_main = model.n_qubits
     u_full = np.kron(evolution_operator(build_walk_hamiltonian(model), model.dt), np.eye(2))
-    # One mid-walk step: evolve, flag interior states on the ancilla, keep
-    # ancilla = 1, and reset it to |0> with a (noisy) X.
-    mid_step = [u_full, *boundary_detector(n_main).gates, PostSelect(n_main),
-                Gate("X", (n_main,))]
+    # One mid-walk step after an evolution: flag interior states on the
+    # ancilla, keep ancilla = 1, reset it to |0> with a (noisy) X, evolve.
+    mid_step = [*boundary_detector(n_main).gates, PostSelect(n_main),
+                Gate("X", (n_main,)), u_full]
     start = StateVector(n_main + 1, np.kron(psi0.amplitudes, [1.0, 0.0]))
 
+    def lattice_probabilities(amps: np.ndarray) -> np.ndarray:
+        return (np.abs(amps.reshape(*amps.shape[:-1], model.n_states, 2)) ** 2).sum(axis=-1)
+
+    # The noise-free trajectory every clean shot shares, evolved to the
+    # current arm's measurement, and the probability it has survived.
+    clean, clean_kept = u_full @ start.amplitudes, 1.0
     tables = [np.abs(psi0.amplitudes) ** 2]
     survival = [1.0]
     accepted = [shots]
     for arm in range(1, steps + 1):
         # Arm k measures the lattice after k steps: k - 1 post-selections.
         rng = np.random.default_rng([seed, arm])
-        survival_draws = rng.random((shots, arm - 1))
-        final_draws = rng.random(shots)
-        program = mid_step * (arm - 1) + [u_full]
-        amps, kept, noisy = run_trajectories(program, start, shots, rng, noise)
-        # A shot survives iff each of its uniforms falls below the kept
-        # probability its row recorded at that post-selection; survivors
-        # then draw a lattice state by inverse CDF on their row.
-        clean_alive = (survival_draws < kept[0]).all(axis=1)
-        clean_alive[noisy] = False
-        noisy_alive = (survival_draws[noisy] < kept[1:]).all(axis=1)
-        cdf = np.cumsum((np.abs(amps.reshape(amps.shape[0], -1, 2)) ** 2).sum(axis=2), axis=1)
-        picks = np.concatenate([
-            np.searchsorted(cdf[0], final_draws[clean_alive]),
-            (cdf[1:][noisy_alive] < final_draws[noisy[noisy_alive], None]).sum(axis=1),
-        ])
-        counts = np.bincount(np.minimum(picks, model.n_states - 1), minlength=model.n_states)
-        del survival_draws  # before the next arm draws a larger block
+        if arm > 1 and clean_kept > 0:  # else every clean shot is absorbed
+            amps, kept, _ = run_trajectories(mid_step, StateVector.from_amplitudes(clean), 1, rng)
+            clean, clean_kept = amps[0], clean_kept * kept[0, 0]
+        counts = np.zeros(model.n_states, dtype=np.int64)
+        n_clean = shots
+        if noise is not None:
+            program = [u_full] + mid_step * (arm - 1)
+            amps, kept, noisy = run_trajectories(program, start, shots, rng, noise)
+            # A noisy shot survives iff each of its uniforms falls below the
+            # kept probability its row recorded at that post-selection;
+            # survivors then draw a lattice state by inverse CDF on their row.
+            alive = (rng.random(kept[1:].shape) < kept[1:]).all(axis=1)
+            cdf = np.cumsum(lattice_probabilities(amps[1:][alive]), axis=1)
+            picks = (cdf < rng.random(cdf.shape[0])[:, None]).sum(axis=1)
+            counts += np.bincount(np.minimum(picks, model.n_states - 1),
+                                  minlength=model.n_states)
+            n_clean -= noisy.size
+        # Clean shots are iid and only their counts are kept, so they are
+        # one multinomial over the lattice states and the absorbed outcome.
+        lattice = lattice_probabilities(clean) * clean_kept
+        cells = np.append(lattice, max(1.0 - lattice.sum(), 0.0))
+        counts += rng.multinomial(n_clean, cells / cells.sum())[:-1]
         tables.append(counts / shots)
-        survival.append(picks.size / shots)
-        accepted.append(picks.size)
+        survival.append(int(counts.sum()) / shots)
+        accepted.append(int(counts.sum()))
     return WalkResult(
         kind="absorbing-sampled",
         tables=tables,
@@ -262,12 +287,15 @@ def absorbing_walk(
     the sampled path: the detector circuit runs after each mid-walk step,
     the ancilla is measured, and only all-interior trajectories survive to
     the final lattice measurement; one independent batch of ``shots``
-    trajectories is run per reported timestep.
+    trajectories is run per reported timestep. Per timestep, the clean
+    shots are one multinomial draw from the noise-free prefix, which is run
+    once across timesteps; this keeps each timestep's output law, but not
+    the outputs for a given seed, of drawing every clean shot on its own.
     """
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
-    if steps < 1:
-        raise WalkError("steps must be >= 1")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise WalkError("steps must be an integer >= 1")
     if shots is None:
         if noise is not None:
             raise WalkError("noise applies to the sampled path only")

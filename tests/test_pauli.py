@@ -89,3 +89,19 @@ def test_sum_and_scale():
     assert PauliString("Z") not in combined.terms
     scaled = 2.0 * b
     assert scaled.terms[PauliString("X")] == 1.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PauliSum(1, {"X": np.nan}),
+        lambda: PauliSum(1, {"X": np.inf}),
+        lambda: PauliSum(1, {"X": -np.inf}),
+        lambda: PauliSum(1, {"X": 1e308}) + PauliSum(1, {"X": 1e308}),
+        lambda: PauliSum(1, {"X": 1.0}) * np.nan,
+    ],
+    ids=["nan", "inf", "-inf", "overflowing-sum", "nan-scale"],
+)
+def test_non_finite_coefficient_rejected(make):
+    with pytest.raises(PauliError):
+        make()

@@ -7,6 +7,7 @@ import pytest
 
 from quatro.qcore import (
     Circuit,
+    Gate,
     NoiseModel,
     PauliString,
     PauliSum,
@@ -14,6 +15,7 @@ from quatro.qcore import (
     SimulationError,
     StateVector,
     apply_circuit,
+    evolution_operator,
     evolve,
     measure_and_collapse,
     measure_probs,
@@ -232,6 +234,72 @@ class TestApplyCircuit:
         finally:
             tracemalloc.stop()
         assert retained < 2_000_000
+
+
+class TestInputChecks:
+    """Malformed gates, states and operators raise typed errors when built
+    or on entry, not numpy errors when run."""
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            lambda: Gate("RY", (0,)),
+            lambda: Gate("RZ", (0,), param=np.inf),
+            lambda: Gate("CRX", (0, 1), param="0.5"),
+            lambda: Gate("U", (0,)),
+            lambda: Gate("U", (0, 1, 2), matrix=np.eye(8)),
+            lambda: Gate("U", (0,), matrix=2 * np.eye(2)),
+            lambda: Gate("SWAP", (0, 1)),
+            lambda: Gate(0, (0,)),
+            lambda: Gate("CNOT", (0,)),
+            lambda: Gate("X", (0, 1)),
+            lambda: Gate("CNOT", (1, 1)),
+            lambda: Gate("X", (-1,)),
+            lambda: Gate("X", (0.5,)),
+        ],
+        ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
+             "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
+             "repeated-qubit", "negative-qubit", "float-qubit"],
+    )
+    def test_malformed_gate_rejected(self, gate):
+        with pytest.raises(SimulationError):
+            gate()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StateVector.from_amplitudes([1]),
+            lambda: StateVector.from_amplitudes([]),
+            lambda: StateVector.from_amplitudes([1, 0, 0]),
+            lambda: StateVector.from_amplitudes([[1, 0], [0, 0]]),
+            lambda: StateVector(0, [1]),
+        ],
+        ids=["one-amplitude", "no-amplitudes", "three-amplitudes", "matrix", "zero-qubits"],
+    )
+    def test_malformed_state_rejected(self, make):
+        with pytest.raises(SimulationError):
+            make()
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.array([[0, 1], [0, 0]]),
+            np.array([[1, 1j], [1j, 1]]),
+            np.array([[np.nan, 0], [0, 1]]),
+            np.array([[np.inf, 0], [0, 1]]),
+            np.ones((2, 3)),
+            np.ones(2),
+        ],
+        ids=["upper-triangular", "complex-symmetric", "nan", "inf", "rectangular", "vector"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [lambda h: evolve(h, 0.5, StateVector.zero(1)), lambda h: evolution_operator(h, 0.5)],
+        ids=["evolve", "evolution_operator"],
+    )
+    def test_non_hermitian_operator_rejected(self, run, h):
+        with pytest.raises(SimulationError):
+            run(h)
 
 
 class TestRegisterChecks:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatro.qcore import (
     Circuit,
@@ -8,6 +12,7 @@ from quatro.qcore import (
     apply_circuit,
     evolution_operator,
     pauli_decompose,
+    run_trajectories,
 )
 from quatro.walks import (
     WalkError,
@@ -163,6 +168,13 @@ class TestHamiltonian:
         with pytest.raises(WalkError):
             WalkModel(4, **params)
 
+    @pytest.mark.parametrize("params", [(6e307, 0.0, 1.0), (1.0, 1e308, 1.0), (1.0, 0.0, 6e307)],
+                             ids=["drift", "coupling", "dt"])
+    def test_overflowing_phases_rejected(self, params):
+        # Each is finite, but H dt is not: e^{-iH dt} would hold NaN.
+        with pytest.raises(WalkError):
+            WalkModel(4, *params)
+
     @pytest.mark.parametrize("energy", [-np.inf, np.nan])
     def test_calibration_rejects_non_finite_target(self, energy):
         with pytest.raises(WalkError):
@@ -193,6 +205,11 @@ class TestReflecting:
         for k in range(5):
             assert np.max(np.abs(res.tables[k] - np.abs(amps) ** 2)) < 1e-9
             amps = u @ amps
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, "3"])
+    def test_bad_steps_rejected(self, steps):
+        with pytest.raises(WalkError):
+            reflecting_walk(WalkModel(4, -0.5, 1.0), StateVector.basis(2, 1), steps)
 
     def test_tables_sum_to_one(self):
         psi = StateVector.from_amplitudes(np.arange(1, 9))
@@ -321,11 +338,91 @@ class TestAbsorbing:
         for ta, tb in zip(a.tables, b.tables):
             assert np.array_equal(ta, tb)
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel(0.0, 0.0), NoiseModel(0.3, 0.3)],
+                             ids=["none", "p0", "p0.3"])
+    def test_zero_survival_absorbs_every_clean_shot(self, noise):
+        # With zero coupling a walker on a boundary stays there: arm 1
+        # measures it freely and every later clean shot is absorbed. Noise
+        # can still flip the detector, so noisy shots follow the oracle.
+        model = WalkModel(4, 0.5, 0.0)
+        psi = StateVector.basis(2, 0)
+        shots = 500
+        res = absorbing_walk(model, psi, 3, shots=shots, seed=1, noise=noise)
+        oracle = noisy_absorbing_oracle(model, psi, 3, noise or NoiseModel(0.0, 0.0))
+        assert not outside_five_sigma(res.tables, oracle, shots).any()
+        if noise is None or noise.p1 == 0:
+            assert res.accepted_shots == [500, 500, 0, 0]
+
+    def test_noise_free_prefix_runs_once(self, monkeypatch):
+        # Arm k's noise-free trajectory is arm k - 1's plus one mid-walk
+        # step, so 8 arms need 7 mid-walk steps in all, not 0 + 1 + ... + 7.
+        import quatro.walks as walks
+
+        handed = []
+
+        def counted(program, *args, **kwargs):
+            handed.append(len(program))
+            return run_trajectories(program, *args, **kwargs)
+
+        monkeypatch.setattr(walks, "run_trajectories", counted)
+        absorbing_walk(WalkModel(8, -0.6, 1.0), StateVector.basis(3, 4), 8, shots=1000, seed=2)
+        assert sum(handed) <= 7 * (len(boundary_detector(3).gates) + 3)
+
+    def test_noise_free_memory_does_not_grow_with_shots(self):
+        model = WalkModel(64, -0.1, 1.0)
+        psi = StateVector.basis(6, 2)
+        absorbing_walk(model, psi, 8, shots=10, seed=0)  # compile the gates
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                absorbing_walk(model, psi, 8, shots=shots, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 1.5 * peak(2_000)
+
     @pytest.mark.parametrize("shots, seed", [(0, 0), (2.5, 0), (10, -1), (10, 1.5)])
     def test_zero_shots_rejected(self, shots, seed):
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
             absorbing_walk(model, StateVector.basis(2, 1), 2, shots=shots, seed=seed)
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    @pytest.mark.parametrize("steps", [0, 2.5, "3"])
+    def test_bad_steps_rejected(self, steps, shots):
+        model = WalkModel(4, -0.5, 1.0)
+        with pytest.raises(WalkError):
+            absorbing_walk(model, StateVector.basis(2, 1), steps, shots=shots)
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_walks(draw):
+    n_states = draw(st.sampled_from([4, 8]))
+    model = WalkModel(n_states, draw(finite), draw(st.just(0.0) | finite),
+                      draw(st.floats(1e-3, 10.0)))
+    psi = StateVector.basis(model.n_qubits, draw(st.integers(0, n_states - 1)))
+    p = draw(st.sampled_from([None, 0.0, 0.05]))
+    noise = None if p is None else NoiseModel(p, p)
+    return model, psi, draw(st.integers(1, 4)), draw(st.integers(1, 500)), noise
+
+
+class TestSampledProperties:
+    @given(walk=small_walks(), seed=st.integers(0, 2**32))
+    def test_tables_are_count_tables(self, walk, seed):
+        model, psi, steps, shots, noise = walk
+        res = absorbing_walk(model, psi, steps, shots=shots, seed=seed, noise=noise)
+        assert np.array_equal(res.tables[0], np.abs(psi.amplitudes) ** 2)
+        assert len(res.tables) == len(res.accepted_shots) == steps + 1
+        for table, accepted in zip(res.tables[1:], res.accepted_shots[1:]):
+            counts = table * shots
+            assert table.shape == (model.n_states,)
+            assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-6)
+            assert round(counts.sum()) == accepted <= shots
 
 
 class TestNoisyAbsorbing:
