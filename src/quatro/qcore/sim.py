@@ -27,6 +27,11 @@ class SimulationError(ValueError):
     """Raised on dimension mismatches, bad indices, or norm violations."""
 
 
+def _check_integer(value, name: str, low: int):
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise SimulationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class StateVector:
     n_qubits: int
@@ -52,6 +57,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
+        if not isinstance(index, (int, np.integer)) or not 0 <= index < 2**n_qubits:
+            raise SimulationError(f"basis index {index!r} outside a {n_qubits}-qubit register")
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -263,14 +270,12 @@ def _hermitian(h: PauliSum | np.ndarray) -> np.ndarray:
 
 def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
     """Return e^{-iHt} |psi> via Hermitian eigendecomposition (exact)."""
-    dense = _hermitian(h)
-    if dense.shape != (psi.amplitudes.size,) * 2:
+    u = evolution_operator(h, t)
+    if u.shape != (psi.amplitudes.size,) * 2:
         raise SimulationError(
-            f"operator shape {dense.shape} does not match state dim {psi.amplitudes.size}"
+            f"operator shape {u.shape} does not match state dim {psi.amplitudes.size}"
         )
-    evals, evecs = np.linalg.eigh(dense)
-    phases = np.exp(-1j * evals * t)
-    amps = evecs @ (phases * (evecs.conj().T @ psi.amplitudes))
+    amps = u @ psi.amplitudes
     norm = np.sum(np.abs(amps) ** 2)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise SimulationError(f"norm drifted to {norm}")
@@ -278,7 +283,9 @@ def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
 
 
 def evolution_operator(h: PauliSum | np.ndarray, t: float) -> np.ndarray:
-    """Dense e^{-iHt}."""
+    """Dense e^{-iHt}; ``h`` must be finite and Hermitian, ``t`` finite and real."""
+    if not (isinstance(t, numbers.Real) and np.isfinite(t)):
+        raise SimulationError(f"evolution time must be a finite real, got {t!r}")
     evals, evecs = np.linalg.eigh(_hermitian(h))
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
@@ -323,8 +330,8 @@ def measure_and_collapse(
 
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
     """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed."""
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise SimulationError("shots must be an integer >= 1")
+    _check_integer(shots, "shots", 1)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     probs = psi.probabilities()
     probs = probs / probs.sum()
@@ -387,6 +394,9 @@ class PostSelect:
 
     qubit: int
 
+    def __post_init__(self):
+        _check_integer(self.qubit, "post-selection qubit", 0)
+
 
 def run_trajectories(
     program: list[Gate | np.ndarray | PostSelect],
@@ -412,6 +422,7 @@ def run_trajectories(
     each row is renormalised after each post-selection (a row with nothing
     kept becomes zero).
     """
+    _check_integer(shots, "shots", 1)
     n = psi0.n_qubits
     ops = [_compile_step(step, n) for step in program]
     noisy_shots = np.zeros(0, dtype=int)
@@ -446,8 +457,8 @@ def run_noisy(
     injection share the ideal final state; they are drawn in one batch,
     which leaves the output distribution unchanged.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise SimulationError("shots must be an integer >= 1")
+    _check_integer(shots, "shots", 1)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
     ops = [_compile_step(gate, n) for gate in circuit.gates]

@@ -9,19 +9,15 @@ The sampled absorbing path emulates post-selection: a one-ancilla detector
 circuit flags interior states, the ancilla is measured mid-walk, and
 trajectories that hit a boundary are discarded. Arm k (the lattice measured
 after k steps) runs the exact evolution (dense exponential), then k - 1
-mid-walk steps, each a program for ``qcore``'s shot-batched trajectory engine
-(``run_trajectories``): the detector's gates, a post-selection of the
-ancilla on 1, an X gate that resets the ancilla to |0>, and the evolution.
-Depolarizing noise, when requested, attaches to every gate of that program,
-so to the detector's gates and to the reset X (p1).
-
-Shots without a noise event all follow one noise-free trajectory. That
-prefix is run once for all arms, one mid-walk step per arm, and each arm
-draws its clean shots as one multinomial over the lattice states and the
-absorbed outcome, from the prefix's lattice probabilities and survival.
-Shots with a noise event are rows of the engine, each with its own
-post-selection draws and final inverse-CDF draw. The output law is that of
-sampling every shot on its own; the outputs for a given seed are not.
+mid-walk steps: the detector's gates, a post-selection of the ancilla on 1,
+an X gate that resets the ancilla to |0>, and the evolution. Without noise
+that post-selection is exactly the boundary projection, so each arm draws
+its noise-free shots as one multinomial over the lattice states and the
+absorbed outcome, from its exact projected table. Depolarizing noise
+attaches to every gate of the mid-walk step, the detector's and the reset
+X's (p1); shots with a noise event are rows of ``qcore``'s shot-batched
+``run_trajectories``, each with its own post-selection and inverse-CDF
+draws. Each arm's output law is that of sampling every shot on its own.
 """
 from __future__ import annotations
 
@@ -82,12 +78,9 @@ class WalkResult:
 def build_walk_hamiltonian(model: WalkModel) -> np.ndarray:
     """Dense ``n_states x n_states`` tridiagonal walk Hamiltonian; its Pauli
     form is ``pauli_decompose(build_walk_hamiltonian(model))``."""
-    n = model.n_states
-    dense = np.zeros((n, n))
-    for i in range(n):
-        dense[i, i] = model.drift * i
-        if i + 1 < n:
-            dense[i, i + 1] = dense[i + 1, i] = model.coupling
+    dense = np.diag(model.drift * np.arange(model.n_states, dtype=float))
+    i = np.arange(model.n_states - 1)
+    dense[i, i + 1] = dense[i + 1, i] = model.coupling
     return dense
 
 
@@ -190,8 +183,7 @@ def boundary_detector(n_qubits: int) -> Circuit:
 
 # --- absorbing walks -------------------------------------------------------
 
-def _exact_absorbing(model: WalkModel, psi0: StateVector, steps: int) -> WalkResult:
-    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
+def _exact_absorbing(u: np.ndarray, psi0: StateVector, steps: int) -> WalkResult:
     survivor = psi0.amplitudes.copy()
     tables = [np.abs(survivor) ** 2]
     survival = [1.0]
@@ -208,6 +200,7 @@ def _exact_absorbing(model: WalkModel, psi0: StateVector, steps: int) -> WalkRes
 
 def _sampled_absorbing(
     model: WalkModel,
+    u: np.ndarray,
     psi0: StateVector,
     steps: int,
     shots: int,
@@ -218,29 +211,21 @@ def _sampled_absorbing(
         raise WalkError("sampled path requires an integer shots >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise WalkError("seed must be a non-negative integer")
-    n_main = model.n_qubits
-    u_full = np.kron(evolution_operator(build_walk_hamiltonian(model), model.dt), np.eye(2))
-    # One mid-walk step after an evolution: flag interior states on the
-    # ancilla, keep ancilla = 1, reset it to |0> with a (noisy) X, evolve.
-    mid_step = [*boundary_detector(n_main).gates, PostSelect(n_main),
-                Gate("X", (n_main,)), u_full]
-    start = StateVector(n_main + 1, np.kron(psi0.amplitudes, [1.0, 0.0]))
+    exact = _exact_absorbing(u, psi0, steps).tables
+    if noise is not None:
+        n_main = model.n_qubits
+        u_full = np.kron(u, np.eye(2))
+        # One mid-walk step after an evolution: flag interior states on the
+        # ancilla, keep ancilla = 1, reset it to |0> with a (noisy) X, evolve.
+        mid_step = [*boundary_detector(n_main).gates, PostSelect(n_main),
+                    Gate("X", (n_main,)), u_full]
+        start = StateVector(n_main + 1, np.kron(psi0.amplitudes, [1.0, 0.0]))
 
-    def lattice_probabilities(amps: np.ndarray) -> np.ndarray:
-        return (np.abs(amps.reshape(*amps.shape[:-1], model.n_states, 2)) ** 2).sum(axis=-1)
-
-    # The noise-free trajectory every clean shot shares, evolved to the
-    # current arm's measurement, and the probability it has survived.
-    clean, clean_kept = u_full @ start.amplitudes, 1.0
     tables = [np.abs(psi0.amplitudes) ** 2]
-    survival = [1.0]
     accepted = [shots]
     for arm in range(1, steps + 1):
         # Arm k measures the lattice after k steps: k - 1 post-selections.
         rng = np.random.default_rng([seed, arm])
-        if arm > 1 and clean_kept > 0:  # else every clean shot is absorbed
-            amps, kept, _ = run_trajectories(mid_step, StateVector.from_amplitudes(clean), 1, rng)
-            clean, clean_kept = amps[0], clean_kept * kept[0, 0]
         counts = np.zeros(model.n_states, dtype=np.int64)
         n_clean = shots
         if noise is not None:
@@ -250,23 +235,23 @@ def _sampled_absorbing(
             # kept probability its row recorded at that post-selection;
             # survivors then draw a lattice state by inverse CDF on their row.
             alive = (rng.random(kept[1:].shape) < kept[1:]).all(axis=1)
-            cdf = np.cumsum(lattice_probabilities(amps[1:][alive]), axis=1)
+            rows = np.abs(amps[1:][alive].reshape(-1, model.n_states, 2)) ** 2
+            cdf = np.cumsum(rows.sum(axis=2), axis=1)
             picks = (cdf < rng.random(cdf.shape[0])[:, None]).sum(axis=1)
             counts += np.bincount(np.minimum(picks, model.n_states - 1),
                                   minlength=model.n_states)
             n_clean -= noisy.size
         # Clean shots are iid and only their counts are kept, so they are
-        # one multinomial over the lattice states and the absorbed outcome.
-        lattice = lattice_probabilities(clean) * clean_kept
-        cells = np.append(lattice, max(1.0 - lattice.sum(), 0.0))
+        # one multinomial over the lattice states and the absorbed outcome,
+        # whose cells are the arm's exact projected table.
+        cells = np.append(exact[arm], max(1.0 - exact[arm].sum(), 0.0))
         counts += rng.multinomial(n_clean, cells / cells.sum())[:-1]
         tables.append(counts / shots)
-        survival.append(int(counts.sum()) / shots)
         accepted.append(int(counts.sum()))
     return WalkResult(
         kind="absorbing-sampled",
         tables=tables,
-        survival=survival,
+        survival=[a / shots for a in accepted],
         accepted_shots=accepted,
         shots=shots,
     )
@@ -287,20 +272,21 @@ def absorbing_walk(
     the sampled path: the detector circuit runs after each mid-walk step,
     the ancilla is measured, and only all-interior trajectories survive to
     the final lattice measurement; one independent batch of ``shots``
-    trajectories is run per reported timestep. Per timestep, the clean
-    shots are one multinomial draw from the noise-free prefix, which is run
-    once across timesteps; this keeps each timestep's output law, but not
-    the outputs for a given seed, of drawing every clean shot on its own.
+    trajectories is run per reported timestep. Without noise, the detector's
+    post-selection is the boundary projection, so each timestep's clean shots
+    are one multinomial draw from its exact projected table; this keeps the
+    output law, but not the outputs for a given seed, of drawing each shot alone.
     """
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise WalkError("steps must be an integer >= 1")
+    if shots is None and noise is not None:
+        raise WalkError("noise applies to the sampled path only")
+    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     if shots is None:
-        if noise is not None:
-            raise WalkError("noise applies to the sampled path only")
-        return _exact_absorbing(model, psi0, steps)
-    return _sampled_absorbing(model, psi0, steps, shots, seed, noise)
+        return _exact_absorbing(u, psi0, steps)
+    return _sampled_absorbing(model, u, psi0, steps, shots, seed, noise)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

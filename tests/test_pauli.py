@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatro.qcore import PauliError, PauliString, PauliSum, pauli_decompose
 
@@ -70,6 +73,23 @@ def test_zero_coefficients_are_dropped():
     ps = PauliSum(1, {PauliString("X"): 0.0, PauliString("Z"): 2.0})
     assert PauliString("X") not in ps.terms
     assert ps.terms[PauliString("Z")] == 2.0
+
+
+@st.composite
+def hermitian_matrices(draw):
+    dim = 2 ** draw(st.integers(1, 4))
+    parts = arrays(float, (2, dim, dim), elements=st.floats(-10.0, 10.0))
+    re, im = draw(parts)
+    m = re + 1j * im
+    return (m + m.conj().T) / 2
+
+
+@given(h=hermitian_matrices())
+def test_decomposition_round_trips(h):
+    # Coefficients below the 1e-10 tolerance are dropped: at most 4^n of
+    # them, each moving an entry by less than 1e-10.
+    back = pauli_decompose(h).to_dense()
+    assert np.max(np.abs(back - h)) <= h.size * 1e-10 + 1e-12
 
 
 def test_json_serialization_roundtrip():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatro.qcore import (
     Circuit,
@@ -301,6 +303,34 @@ class TestInputChecks:
         with pytest.raises(SimulationError):
             run(h)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StateVector.basis(2, -1),
+            lambda: StateVector.basis(2, 4),
+            lambda: StateVector.basis(2, 1.0),
+            lambda: evolution_operator(np.eye(2), np.nan),
+            lambda: evolution_operator(np.eye(2), np.inf),
+            lambda: evolution_operator(np.eye(2), 1j),
+            lambda: evolve(np.eye(2), "0.5", StateVector.zero(1)),
+            lambda: PostSelect(0.5),
+            lambda: PostSelect(-1),
+            lambda: sample(StateVector.zero(1), 10, -1),
+            lambda: run_noisy(Circuit(1).x(0), NoiseModel(0.1), 10, -1),
+            lambda: run_trajectories([], StateVector.zero(1), -1, np.random.default_rng(0)),
+            lambda: run_trajectories([], StateVector.zero(1), 0, np.random.default_rng(0)),
+            lambda: run_trajectories([], StateVector.zero(1), 2.0, np.random.default_rng(0)),
+        ],
+        ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
+             "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
+             "post-select-float", "post-select-negative", "sample-negative-seed",
+             "run-noisy-negative-seed", "trajectories-negative-shots",
+             "trajectories-zero-shots", "trajectories-float-shots"],
+    )
+    def test_bad_argument_rejected(self, make):
+        with pytest.raises(SimulationError):
+            make()
+
 
 class TestRegisterChecks:
     """Programs are checked against the register before they run."""
@@ -323,6 +353,35 @@ class TestRegisterChecks:
     def test_out_of_register_rejected(self, run):
         with pytest.raises(SimulationError):
             run(np.random.default_rng(0))
+
+
+@st.composite
+def random_circuits(draw):
+    """A circuit of any gate kinds, placements and angles on 2-5 qubits."""
+    n = draw(st.integers(2, 5))
+    circuit = Circuit(n)
+    angles = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([k for k, a in ARITY.items() if a <= n]))
+        qubits = tuple(draw(st.permutations(range(n)))[: ARITY[kind]])
+        if kind in ("RY", "RZ", "CRX"):
+            circuit.gates.append(Gate(kind, qubits, param=draw(angles)))
+        elif kind in ("U1", "U2"):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            circuit.unitary(haar_unitary(rng, 2 ** len(qubits)), *qubits)
+        else:
+            circuit.gates.append(Gate(kind, qubits))
+    return circuit
+
+
+class TestCircuitProperties:
+    @given(circuit=random_circuits(), seed=st.integers(0, 2**32))
+    def test_norm_is_preserved(self, circuit, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2**circuit.n_qubits
+        psi = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        out = apply_circuit(circuit, psi)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
 
 class TestMeasure:

@@ -124,6 +124,15 @@ class TestHamiltonian:
         out = evolve(dense, 3.0, psi)
         assert np.abs(out.amplitudes[2]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n_states", [4, 8, 64])
+    @pytest.mark.parametrize("drift", [-0.7, 0.0, 0.9])
+    @pytest.mark.parametrize("coupling", [-1.3, 0.0, 1.1])
+    def test_matches_the_definition(self, n_states, drift, coupling):
+        dense = build_walk_hamiltonian(WalkModel(n_states, drift, coupling))
+        reference = dense_walk_matrix(n_states, drift, coupling)
+        assert np.array_equal(dense, reference)
+        assert dense.tobytes() == reference.tobytes()  # signed zeros too
+
     def test_lattice_beyond_the_decomposer_guard(self):
         # 2048 states = 11 qubits, past pauli_decompose's 10-qubit guard.
         dense = build_walk_hamiltonian(WalkModel(2048, -0.01, 1.0))
@@ -244,7 +253,7 @@ class TestDetector:
         anc1 = np.abs(out.amplitudes.reshape(-1, 2)[:, 1]) ** 2
         assert anc1.sum() == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_full_truth_table_and_magnitude_preservation(self, n):
         circ = boundary_detector(n)
         for basis in range(2**n):
@@ -353,9 +362,11 @@ class TestAbsorbing:
         if noise is None or noise.p1 == 0:
             assert res.accepted_shots == [500, 500, 0, 0]
 
-    def test_noise_free_prefix_runs_once(self, monkeypatch):
-        # Arm k's noise-free trajectory is arm k - 1's plus one mid-walk
-        # step, so 8 arms need 7 mid-walk steps in all, not 0 + 1 + ... + 7.
+    def test_engine_runs_only_noisy_arms(self, monkeypatch):
+        # Noise-free post-selection through the detector is the boundary
+        # projection, so clean shots come from the exact tables: a noise-free
+        # walk hands the trajectory engine nothing, a noisy one a program per
+        # arm for its noisy rows.
         import quatro.walks as walks
 
         handed = []
@@ -365,8 +376,11 @@ class TestAbsorbing:
             return run_trajectories(program, *args, **kwargs)
 
         monkeypatch.setattr(walks, "run_trajectories", counted)
-        absorbing_walk(WalkModel(8, -0.6, 1.0), StateVector.basis(3, 4), 8, shots=1000, seed=2)
-        assert sum(handed) <= 7 * (len(boundary_detector(3).gates) + 3)
+        model, psi = WalkModel(8, -0.6, 1.0), StateVector.basis(3, 4)
+        absorbing_walk(model, psi, 8, shots=1000, seed=2)
+        assert handed == []
+        absorbing_walk(model, psi, 4, shots=1000, seed=2, noise=NoiseModel(1e-2, 1e-2))
+        assert len(handed) == 4
 
     def test_noise_free_memory_does_not_grow_with_shots(self):
         model = WalkModel(64, -0.1, 1.0)
