@@ -99,14 +99,6 @@ class PauliSum:
             h += c * p.matrix()
         return h
 
-    def expectation(self, amplitudes: np.ndarray) -> float:
-        """<psi|H|psi> for a normalized amplitude vector; real to 1e-9."""
-        psi = np.asarray(amplitudes, dtype=complex)
-        val = np.vdot(psi, self.to_dense() @ psi)
-        if abs(val.imag) > 1e-9:
-            raise PauliError(f"expectation has imaginary part {val.imag:.2e}")
-        return float(val.real)
-
     def to_json(self) -> str:
         payload = {
             "n": self.n_qubits,

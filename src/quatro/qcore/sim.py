@@ -38,8 +38,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
-            raise SimulationError(f"a state needs at least one qubit, got {self.n_qubits!r}")
+        _check_integer(self.n_qubits, "qubit count", 1)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise SimulationError(
@@ -51,12 +50,11 @@ class StateVector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return cls.basis(n_qubits, 0)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
+        _check_integer(n_qubits, "qubit count", 1)
         if not isinstance(index, (int, np.integer)) or not 0 <= index < 2**n_qubits:
             raise SimulationError(f"basis index {index!r} outside a {n_qubits}-qubit register")
         amps = np.zeros(2**n_qubits, dtype=complex)
@@ -303,8 +301,8 @@ def measure_probs(psi: StateVector, targets: list[int] | tuple[int, ...]) -> dic
     if len(set(targets)) != len(targets):
         raise SimulationError("targets must be distinct")
     for q in targets:
-        if not 0 <= q < psi.n_qubits:
-            raise SimulationError(f"qubit {q} out of range")
+        if not isinstance(q, (int, np.integer)) or not 0 <= q < psi.n_qubits:
+            raise SimulationError(f"qubit {q!r} out of range")
     n = psi.n_qubits
     probs = psi.probabilities().reshape([2] * n)
     keep = sorted(targets)
@@ -366,13 +364,12 @@ class NoiseModel:
 
 
 def _noise_events(gates: list[Gate], noise: NoiseModel, shots: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Shots with at least one depolarizing event, and for each of them
-    which of ``gates`` are followed by one."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """For each shot with at least one depolarizing event, which of
+    ``gates`` are followed by one."""
     probs = np.array([noise.gate_probability(g) for g in gates])
     events = rng.random((shots, probs.size)) < probs[None, :]
-    noisy_shots = np.flatnonzero(events.any(axis=1))
-    return noisy_shots, events[noisy_shots]
+    return events[events.any(axis=1)]
 
 
 def _inject_pauli(block: np.ndarray, rows: np.ndarray, qubits: tuple[int, ...],
@@ -404,8 +401,9 @@ def run_trajectories(
     shots: int,
     rng: np.random.Generator,
     noise: NoiseModel | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run ``shots`` trajectories of ``program`` from ``psi0`` as one block.
+) -> np.ndarray:
+    """Run ``shots`` trajectories of ``program`` from ``psi0`` as one block
+    and measure the register at the end.
 
     A step is a ``Gate``, a dense unitary on the whole register (noiseless),
     or a ``PostSelect`` (noiseless). Each step is compiled once, a gate or a
@@ -414,37 +412,38 @@ def run_trajectories(
     gate of each shot is followed by a depolarizing event is drawn up front;
     an event injects a uniform Pauli on the gate's qubits.
 
-    Returns ``(amplitudes, kept, noisy_shots)``. ``amplitudes`` has shape
-    ``(1 + len(noisy_shots), 2**n)``: row 0 is the noise-free trajectory
-    that every shot without an event shares, and row ``r >= 1`` is shot
-    ``noisy_shots[r - 1]``. ``kept[r, j]`` is the probability that row
-    ``r`` passes post-selection ``j``, given it passed the earlier ones;
-    each row is renormalised after each post-selection (a row with nothing
-    kept becomes zero).
+    Returns the counts of the ``2**n`` outcomes over the shots that passed
+    every ``PostSelect``; the shots not counted were discarded.
     """
     _check_integer(shots, "shots", 1)
     n = psi0.n_qubits
     ops = [_compile_step(step, n) for step in program]
-    noisy_shots = np.zeros(0, dtype=int)
+    events = np.zeros((0, 0), dtype=bool)
     if noise is not None:
         gates = [step for step in program if isinstance(step, Gate)]
-        noisy_shots, events = _noise_events(gates, noise, shots, rng)
+        events = _noise_events(gates, noise, shots, rng)
 
-    block = np.tile(psi0.amplitudes, (1 + noisy_shots.size, 1))
-    kept = []
+    # Row 0 is shared by every shot without an event, row r >= 1 is the r-th
+    # noisy shot. Rows are never renormalised: the squared norm of a row is
+    # the probability that it passed every post-selection.
+    block = np.tile(psi0.amplitudes, (1 + len(events), 1))
     g_idx = 0
     for step, op in zip(program, ops):
         block = block @ op if isinstance(op, np.ndarray) else _apply(block, op)
         if isinstance(step, Gate):
-            if noisy_shots.size:
+            if len(events):
                 hit = np.flatnonzero(events[:, g_idx]) + 1
                 block = _inject_pauli(block, hit, step.qubits, n, rng)
             g_idx += 1
-        elif isinstance(step, PostSelect):
-            p = np.sum(np.abs(block) ** 2, axis=1)
-            block /= np.sqrt(np.where(p > 0, p, 1.0))[:, None]
-            kept.append(p)
-    return block, np.array(kept).T.reshape(block.shape[0], len(kept)), noisy_shots
+    probs = np.abs(block) ** 2
+    # Clean shots: one multinomial over the outcomes and the discarded mass.
+    cells = np.append(probs[0], max(1.0 - probs[0].sum(), 0.0))
+    counts = rng.multinomial(shots - len(events), cells / cells.sum())[:-1]
+    # Noisy shots: one inverse-CDF draw per row; a uniform past the row's
+    # mass lands on outcome 2**n, the discarded one.
+    cdf = np.cumsum(probs[1:], axis=1)
+    picks = (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
+    return counts + np.bincount(picks, minlength=2**n + 1)[:-1]
 
 
 def run_noisy(
@@ -462,11 +461,11 @@ def run_noisy(
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
     ops = [_compile_step(gate, n) for gate in circuit.gates]
-    noisy_shots, events = _noise_events(circuit.gates, noise, shots, rng)
+    events = _noise_events(circuit.gates, noise, shots, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
     out: Counter[str] = Counter()
 
-    n_clean = shots - noisy_shots.size
+    n_clean = shots - len(events)
     if n_clean:
         clean_seed = int(rng.integers(2**63))
         out.update(sample(clean, n_clean, clean_seed))

@@ -15,9 +15,9 @@ that post-selection is exactly the boundary projection, so each arm draws
 its noise-free shots as one multinomial over the lattice states and the
 absorbed outcome, from its exact projected table. Depolarizing noise
 attaches to every gate of the mid-walk step, the detector's and the reset
-X's (p1); shots with a noise event are rows of ``qcore``'s shot-batched
-``run_trajectories``, each with its own post-selection and inverse-CDF
-draws. Each arm's output law is that of sampling every shot on its own.
+X's (p1), and each arm is one call to ``qcore``'s shot-batched
+``run_trajectories``, whose register counts are summed over the ancilla.
+Each arm's output law is that of sampling every shot on its own.
 """
 from __future__ import annotations
 
@@ -211,8 +211,9 @@ def _sampled_absorbing(
         raise WalkError("sampled path requires an integer shots >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise WalkError("seed must be a non-negative integer")
-    exact = _exact_absorbing(u, psi0, steps).tables
-    if noise is not None:
+    if noise is None:
+        exact = _exact_absorbing(u, psi0, steps).tables
+    else:
         n_main = model.n_qubits
         u_full = np.kron(u, np.eye(2))
         # One mid-walk step after an evolution: flag interior states on the
@@ -226,26 +227,17 @@ def _sampled_absorbing(
     for arm in range(1, steps + 1):
         # Arm k measures the lattice after k steps: k - 1 post-selections.
         rng = np.random.default_rng([seed, arm])
-        counts = np.zeros(model.n_states, dtype=np.int64)
-        n_clean = shots
-        if noise is not None:
+        if noise is None:
+            # Shots are iid and only their counts are kept, so they are one
+            # multinomial over the lattice states and the absorbed outcome,
+            # whose cells are the arm's exact projected table.
+            cells = np.append(exact[arm], max(1.0 - exact[arm].sum(), 0.0))
+            counts = rng.multinomial(shots, cells / cells.sum())[:-1]
+        else:
             program = [u_full] + mid_step * (arm - 1)
-            amps, kept, noisy = run_trajectories(program, start, shots, rng, noise)
-            # A noisy shot survives iff each of its uniforms falls below the
-            # kept probability its row recorded at that post-selection;
-            # survivors then draw a lattice state by inverse CDF on their row.
-            alive = (rng.random(kept[1:].shape) < kept[1:]).all(axis=1)
-            rows = np.abs(amps[1:][alive].reshape(-1, model.n_states, 2)) ** 2
-            cdf = np.cumsum(rows.sum(axis=2), axis=1)
-            picks = (cdf < rng.random(cdf.shape[0])[:, None]).sum(axis=1)
-            counts += np.bincount(np.minimum(picks, model.n_states - 1),
-                                  minlength=model.n_states)
-            n_clean -= noisy.size
-        # Clean shots are iid and only their counts are kept, so they are
-        # one multinomial over the lattice states and the absorbed outcome,
-        # whose cells are the arm's exact projected table.
-        cells = np.append(exact[arm], max(1.0 - exact[arm].sum(), 0.0))
-        counts += rng.multinomial(n_clean, cells / cells.sum())[:-1]
+            # The ancilla is the last qubit: sum it out of the register counts.
+            counts = run_trajectories(program, start, shots, rng, noise)
+            counts = counts.reshape(model.n_states, 2).sum(axis=1)
         tables.append(counts / shots)
         accepted.append(int(counts.sum()))
     return WalkResult(
@@ -273,9 +265,10 @@ def absorbing_walk(
     the ancilla is measured, and only all-interior trajectories survive to
     the final lattice measurement; one independent batch of ``shots``
     trajectories is run per reported timestep. Without noise, the detector's
-    post-selection is the boundary projection, so each timestep's clean shots
-    are one multinomial draw from its exact projected table; this keeps the
-    output law, but not the outputs for a given seed, of drawing each shot alone.
+    post-selection is the boundary projection, so each timestep's shots are
+    one multinomial draw from its exact projected table; with noise, they are
+    the counts of one ``run_trajectories`` call. Either keeps the output law,
+    but not the outputs for a given seed, of drawing each shot alone.
     """
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")

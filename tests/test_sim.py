@@ -26,6 +26,7 @@ from quatro.qcore import (
     sample,
 )
 from .test_pauli import random_hermitian
+from .test_walks import depolarize, gate_unitary
 
 
 def taylor_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
@@ -87,6 +88,26 @@ def haar_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def noisy_circuit_oracle(circuit, noise):
+    """Exact output law of ``run_noisy(circuit, noise, ...)``: the density
+    matrix from |0...0>, each gate followed by its depolarizing channel."""
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = gate_unitary(gate, n)
+        rho = depolarize(u @ rho @ u.conj().T, noise.gate_probability(gate), gate.qubits, n)
+    return np.real(np.diag(rho))
+
+
+def engine_counts(circuit, noise, shots, seed):
+    """``run_noisy`` as one ``run_trajectories`` call, keyed by bitstring."""
+    n = circuit.n_qubits
+    counts = run_trajectories(circuit.gates, StateVector.zero(n), shots,
+                              np.random.default_rng(seed), noise)
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts)}
+
+
 ARITY = {"H": 1, "X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "CRX": 2, "TOFFOLI": 3, "U1": 1, "U2": 2}
 
 
@@ -119,14 +140,19 @@ class TestGateReference:
     @pytest.mark.parametrize("kind", list(ARITY))
     def test_matches_textbook_matrix(self, kind, n):
         rng = np.random.default_rng(n)
+        shots = 10**6
         for qubits in itertools.permutations(range(n), ARITY[kind]):
             psi = StateVector.from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
             circuit, full = gate_and_reference(kind, n, qubits, rng)
             expected = full @ psi.amplitudes
             out = apply_circuit(circuit, psi).amplitudes
-            rows, _, _ = run_trajectories(circuit.gates, psi, 1, rng)
             assert np.max(np.abs(out - expected)) < 1e-12, qubits
-            assert np.max(np.abs(rows[0] - expected)) < 1e-12, qubits
+            # The engine only counts outcomes, where a wrong phase does not
+            # show until a Haar-random step after the gate mixes it in.
+            haar = haar_unitary(rng, 2**n)
+            p = np.abs(haar @ expected) ** 2
+            counts = run_trajectories([*circuit.gates, haar], psi, shots, rng)
+            assert np.all(np.abs(counts - shots * p) <= 5 * np.sqrt(shots * p * (1 - p))), qubits
 
 
 class TestEvolve:
@@ -320,12 +346,17 @@ class TestInputChecks:
             lambda: run_trajectories([], StateVector.zero(1), -1, np.random.default_rng(0)),
             lambda: run_trajectories([], StateVector.zero(1), 0, np.random.default_rng(0)),
             lambda: run_trajectories([], StateVector.zero(1), 2.0, np.random.default_rng(0)),
+            lambda: StateVector.zero(-1),
+            lambda: StateVector.zero(2.5),
+            lambda: StateVector.basis(-1, 0),
+            lambda: measure_probs(StateVector.zero(2), [0.5]),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
              "post-select-float", "post-select-negative", "sample-negative-seed",
              "run-noisy-negative-seed", "trajectories-negative-shots",
-             "trajectories-zero-shots", "trajectories-float-shots"],
+             "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
+             "zero-float-qubits", "basis-negative-qubits", "measure-float-target"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -484,6 +515,26 @@ class TestNoise:
         with pytest.raises(SimulationError):
             NoiseModel(p1=1.5)
 
+    @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
+    def test_conforms_to_density_matrix_oracle(self, run):
+        # Every gate kind, with H on the controls last so that errors on a
+        # control show. A copy that twirls only a 2-qubit gate's target is
+        # about 12 sigma off in some cell at this shot count.
+        rng = np.random.default_rng(0)
+        circuit = (Circuit(3).h(0).h(1).cnot(0, 2).toffoli(0, 1, 2).crx(0.9, 2, 1).rz(1.1, 0)
+                   .ry(0.7, 2).x(1).unitary(haar_unitary(rng, 2), 2).h(0).h(1)
+                   .unitary(haar_unitary(rng, 4), 0, 1))
+        noise = NoiseModel(0.02, 0.3)
+        shots = 8000
+        law = noisy_circuit_oracle(circuit, noise)
+        sigma = np.sqrt(shots * law * (1 - law))
+        # Power control: charging 2-qubit gates p1 moves some cell far out.
+        as_p1 = noisy_circuit_oracle(circuit, NoiseModel(noise.p1, noise.p1))
+        assert np.max(np.abs(as_p1 - law) * shots / sigma) > 10
+        counts = run(circuit, noise, shots, 5)
+        observed = np.array([counts.get(format(i, "03b"), 0) for i in range(8)])
+        assert np.all(np.abs(observed - shots * law) <= 5 * sigma)
+
 
 class TestTrajectories:
     # X on qubit 0 as a dense step, then a Bell pair, then keep qubit 1 = 1.
@@ -492,27 +543,26 @@ class TestTrajectories:
         *Circuit(2).h(0).cnot(0, 1).gates,
         PostSelect(1),
     ]
+    shots = 10_000
 
-    def test_noise_free_run_is_one_row(self):
-        amps, kept, noisy = run_trajectories(
-            self.program, StateVector.zero(2), 50, np.random.default_rng(0)
+    def test_noise_free_counts_fall_on_the_kept_outcome(self):
+        # (|00> - |11>)/sqrt2: half the shots keep qubit 1 = 1, all on |11>.
+        counts = run_trajectories(
+            self.program, StateVector.zero(2), self.shots, np.random.default_rng(0)
         )
-        assert amps.shape == (1, 4) and kept.shape == (1, 1) and noisy.size == 0
-        assert kept[0, 0] == pytest.approx(0.5)
-        assert np.allclose(amps[0], [0, 0, 0, -1])  # (|00> - |11>)/sqrt2, kept -|11>
+        assert counts.shape == (4,) and counts[:3].sum() == 0
+        assert abs(counts[3] - self.shots / 2) <= 5 * np.sqrt(self.shots / 4)
 
-    def test_each_noisy_shot_gets_its_own_row(self):
-        shots = 50
-        amps, kept, noisy = run_trajectories(
-            self.program, StateVector.zero(2), shots, np.random.default_rng(0),
+    def test_noisy_shots_are_discarded_at_the_exact_rate(self):
+        # Every gate is followed by an event, so every shot is a noisy row.
+        # The twirl after the CNOT leaves I/4, so a shot passes with p = 1/2.
+        counts = run_trajectories(
+            self.program, StateVector.zero(2), self.shots, np.random.default_rng(0),
             NoiseModel(1.0, 1.0),
         )
-        assert np.array_equal(noisy, np.arange(shots))
-        assert amps.shape == (1 + shots, 4) and kept.shape == (1 + shots, 1)
-        # Kept rows are renormalised; rows with nothing kept are zero.
-        norms = np.linalg.norm(amps, axis=1)
-        assert np.allclose(norms, kept[:, 0] > 0)
-        assert np.allclose(np.abs(amps[:, [0, 2]]), 0.0)
+        assert counts[0] == counts[2] == 0
+        discarded = self.shots - counts.sum()
+        assert abs(discarded - self.shots / 2) <= 5 * np.sqrt(self.shots / 4)
 
 
 class TestStateVector:
