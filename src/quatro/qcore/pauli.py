@@ -145,6 +145,8 @@ def pauli_decompose(h: np.ndarray, tol: float = 1e-10, max_qubits: int = 10) -> 
         raise PauliError(f"dimension {dim} is not a power of two")
     if n > max_qubits:
         raise PauliError(f"{n} qubits exceeds the {max_qubits}-qubit guard")
+    if not np.isfinite(h).all():
+        raise PauliError("matrix has non-finite entries")
     if np.max(np.abs(h - h.conj().T)) > tol:
         raise PauliError("matrix is not Hermitian within tolerance")
 

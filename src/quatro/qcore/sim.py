@@ -133,56 +133,47 @@ class Gate:
 
 @dataclass
 class Circuit:
+    """An ordered gate list on ``n_qubits``; each builder appends one gate
+    and returns the circuit. ``Gate`` checks each gate; ``Circuit`` checks
+    only that the gate's qubits fit the register."""
+
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
 
-    def _check(self, *qubits: int):
-        if len(set(qubits)) != len(qubits):
-            raise SimulationError(f"repeated qubit in {qubits}")
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise SimulationError(f"qubit {q} out of range for n={self.n_qubits}")
+    def __post_init__(self):
+        _check_integer(self.n_qubits, "qubit count", 1)
+
+    def _add(self, kind: str, qubits: tuple[int, ...], param=None, matrix=None) -> "Circuit":
+        gate = Gate(kind, qubits, param, matrix)
+        if max(gate.qubits) >= self.n_qubits:
+            raise SimulationError(f"qubits {qubits} out of range for n={self.n_qubits}")
+        self.gates.append(gate)
+        return self
 
     def h(self, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("H", (q,)))
-        return self
+        return self._add("H", (q,))
 
     def x(self, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("X", (q,)))
-        return self
+        return self._add("X", (q,))
 
     def ry(self, theta: float, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("RY", (q,), param=float(theta)))
-        return self
+        return self._add("RY", (q,), theta)
 
     def rz(self, theta: float, q: int) -> "Circuit":
-        self._check(q)
-        self.gates.append(Gate("RZ", (q,), param=float(theta)))
-        return self
+        return self._add("RZ", (q,), theta)
 
     def cnot(self, control: int, target: int) -> "Circuit":
-        self._check(control, target)
-        self.gates.append(Gate("CNOT", (control, target)))
-        return self
+        return self._add("CNOT", (control, target))
 
     def crx(self, theta: float, control: int, target: int) -> "Circuit":
-        self._check(control, target)
-        self.gates.append(Gate("CRX", (control, target), param=float(theta)))
-        return self
+        return self._add("CRX", (control, target), theta)
 
     def toffoli(self, c1: int, c2: int, target: int) -> "Circuit":
-        self._check(c1, c2, target)
-        self.gates.append(Gate("TOFFOLI", (c1, c2, target)))
-        return self
+        return self._add("TOFFOLI", (c1, c2, target))
 
     def unitary(self, matrix: np.ndarray, *qubits: int) -> "Circuit":
         """Generic 1- or 2-qubit unitary."""
-        self._check(*qubits)
-        self.gates.append(Gate("U", tuple(qubits), matrix=np.asarray(matrix, dtype=complex)))
-        return self
+        return self._add("U", qubits, matrix=matrix)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -356,8 +347,8 @@ class NoiseModel:
 
     def __post_init__(self):
         for p in (self.p1, self.p2):
-            if not 0.0 <= p <= 1.0:
-                raise SimulationError(f"probability {p} outside [0, 1]")
+            if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+                raise SimulationError(f"probability {p!r} is not a real in [0, 1]")
 
     def gate_probability(self, gate: Gate) -> float:
         return self.p1 if len(gate.qubits) == 1 else self.p2
@@ -447,21 +438,21 @@ def run_trajectories(
 
 
 def run_noisy(
-    circuit: Circuit, noise: NoiseModel, shots: int, seed: int
+    circuit: Circuit, noise: NoiseModel | None, shots: int, seed: int
 ) -> Counter[str]:
     """Trajectory-sampled noisy execution from |0...0>, measured at the end.
 
     Per shot, after each gate, a uniformly random Pauli is injected on the
-    gate's qubits with the gate-arity probability. Shots without any
-    injection share the ideal final state; they are drawn in one batch,
-    which leaves the output distribution unchanged.
+    gate's qubits with the gate-arity probability; ``noise=None`` means no
+    noise. Shots without any injection share the ideal final state; they
+    are drawn in one batch, which leaves the output distribution unchanged.
     """
     _check_integer(shots, "shots", 1)
     _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
     ops = [_compile_step(gate, n) for gate in circuit.gates]
-    events = _noise_events(circuit.gates, noise, shots, rng)
+    events = _noise_events(circuit.gates, NoiseModel() if noise is None else noise, shots, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
     out: Counter[str] = Counter()
 
@@ -471,8 +462,9 @@ def run_noisy(
         out.update(sample(clean, n_clean, clean_seed))
 
     row = np.zeros(1, dtype=int)
+    zero = StateVector.zero(n).amplitudes[None]  # read only: _apply returns a new block
     for shot_events in events:
-        amps = StateVector.zero(n).amplitudes[None]
+        amps = zero
         for gate, op, event in zip(circuit.gates, ops, shot_events):
             amps = _apply(amps, op)
             if event:

@@ -21,6 +21,7 @@ Each arm's output law is that of sampling every shot on its own.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,11 @@ class WalkModel:
 
     def __post_init__(self):
         n = self.n_states
-        if n < 4 or n & (n - 1):
-            raise WalkError("n_states must be a power of two >= 4")
-        if not np.isfinite([self.drift, self.coupling, self.dt]).all():
-            raise WalkError("drift, coupling and dt must be finite")
+        if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
+            raise WalkError(f"n_states must be an integer power of two >= 4, got {n!r}")
+        reals = (self.drift, self.coupling, self.dt)
+        if not all(isinstance(v, numbers.Real) for v in reals) or not np.isfinite(reals).all():
+            raise WalkError("drift, coupling and dt must be finite reals")
         if not self.dt > 0:
             raise WalkError("dt must be positive")
         # Bounds every eigenvalue times dt, so e^{-iH dt} stays finite.

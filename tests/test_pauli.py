@@ -59,6 +59,14 @@ def test_rejects_non_hermitian():
         pauli_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("h", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])],
+                         ids=["nan", "inf"])
+def test_rejects_non_finite_matrix(h):
+    # NaN > tol is false, so a NaN matrix would decompose to the zero operator.
+    with pytest.raises(PauliError, match="non-finite"):
+        pauli_decompose(h)
+
+
 def test_rejects_non_power_of_two():
     with pytest.raises(PauliError, match="power of two"):
         pauli_decompose(np.eye(3))

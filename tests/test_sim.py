@@ -350,13 +350,21 @@ class TestInputChecks:
             lambda: StateVector.zero(2.5),
             lambda: StateVector.basis(-1, 0),
             lambda: measure_probs(StateVector.zero(2), [0.5]),
+            lambda: Circuit(1).ry(None, 0),
+            lambda: Circuit(1).ry("a", 0),
+            lambda: Circuit(2.5),
+            lambda: Circuit(0),
+            lambda: NoiseModel("0.1"),
+            lambda: NoiseModel(None),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
              "post-select-float", "post-select-negative", "sample-negative-seed",
              "run-noisy-negative-seed", "trajectories-negative-shots",
              "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
-             "zero-float-qubits", "basis-negative-qubits", "measure-float-target"],
+             "zero-float-qubits", "basis-negative-qubits", "measure-float-target",
+             "ry-none-angle", "ry-str-angle", "circuit-float-qubits", "circuit-zero-qubits",
+             "noise-str-probability", "noise-none-probability"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -405,6 +413,23 @@ def random_circuits(draw):
     return circuit
 
 
+@st.composite
+def composed_circuits(draw):
+    """Up to 8 gates of any kind and placement on 2-5 qubits, each built
+    through a ``Circuit`` builder, with the product of their reference
+    matrices."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    circuit, full = Circuit(n), np.eye(2**n)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([k for k, a in ARITY.items() if a <= n]))
+        qubits = tuple(draw(st.permutations(range(n)))[: ARITY[kind]])
+        one, reference = gate_and_reference(kind, n, qubits, rng)
+        circuit.gates += one.gates
+        full = reference @ full
+    return circuit, full
+
+
 class TestCircuitProperties:
     @given(circuit=random_circuits(), seed=st.integers(0, 2**32))
     def test_norm_is_preserved(self, circuit, seed):
@@ -413,6 +438,15 @@ class TestCircuitProperties:
         psi = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         out = apply_circuit(circuit, psi)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+
+    @given(composed=composed_circuits(), seed=st.integers(0, 2**32))
+    def test_composition_matches_textbook_product(self, composed, seed):
+        circuit, full = composed
+        rng = np.random.default_rng(seed)
+        dim = 2**circuit.n_qubits
+        psi = StateVector.from_amplitudes(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        out = apply_circuit(circuit, psi).amplitudes
+        assert np.max(np.abs(out - full @ psi.amplitudes)) <= 1e-12
 
 
 class TestMeasure:
@@ -505,6 +539,13 @@ class TestNoise:
         counts = run_noisy(Circuit(1).x(0), NoiseModel(p1=1.0), shots, 4)
         sigma = np.sqrt(shots * 0.25)
         assert abs(counts["0"] - shots / 2) < 5 * sigma
+
+    def test_no_noise_model_means_no_noise(self):
+        shots = 20_000
+        counts = run_noisy(Circuit(2).h(0).cnot(0, 1), None, shots, 8)
+        assert set(counts) == {"00", "11"}
+        for key in counts:
+            assert abs(counts[key] - shots / 2) < 5 * np.sqrt(shots * 0.25)
 
     def test_noise_determinism(self):
         c = Circuit(2).h(0).cnot(0, 1)

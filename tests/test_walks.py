@@ -177,6 +177,21 @@ class TestHamiltonian:
         with pytest.raises(WalkError):
             WalkModel(4, **params)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WalkModel(8.0, 0.0, 1.0),
+            lambda: WalkModel("8", 0.0, 1.0),
+            lambda: WalkModel(8, "1", 1.0),
+            lambda: WalkModel(8, None, 1.0),
+            lambda: calibrated_walk_model(4.0, 1.0, -1.5),
+        ],
+        ids=["float-states", "str-states", "str-drift", "none-drift", "calibrated-float-states"],
+    )
+    def test_non_numeric_parameters(self, make):
+        with pytest.raises(WalkError):
+            make()
+
     @pytest.mark.parametrize("params", [(6e307, 0.0, 1.0), (1.0, 1e308, 1.0), (1.0, 0.0, 6e307)],
                              ids=["drift", "coupling", "dt"])
     def test_overflowing_phases_rejected(self, params):
