@@ -1,16 +1,20 @@
-"""Pauli-string algebra.
+"""Pauli strings and the Pauli form of a Hermitian matrix.
 
 Models hand their Hamiltonians around as dense matrices; the Pauli form
-(a ``PauliSum``) is derived on demand with ``pauli_decompose``.
-Qubit 0 is the leftmost label in the string and the most significant bit
-of a basis index.
+(a ``PauliSum``) is derived output of ``pauli_decompose``, read through its
+``terms`` or turned back with ``to_dense``. It has no serialisation and no
+arithmetic. Qubit 0 is the leftmost label in the string and the most
+significant bit of a basis index.
 """
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_TOL = 1e-10  # Hermiticity slack, and the size below which a coefficient is dropped
+_MAX_QUBITS = 10  # 4^n coefficients: 10 qubits is about a million
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -45,8 +49,9 @@ class PauliString:
     ops: str
 
     def __post_init__(self):
-        if not self.ops or any(c not in _LABELS for c in self.ops):
-            raise PauliError(f"invalid Pauli string {self.ops!r}")
+        ops = self.ops
+        if not isinstance(ops, str) or not ops or any(c not in _LABELS for c in ops):
+            raise PauliError(f"a Pauli string is a nonempty str over {_LABELS}, got {ops!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -74,14 +79,16 @@ class PauliSum:
     terms: dict[PauliString, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        n = self.n_qubits
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise PauliError(f"qubit count must be an integer >= 1, got {n!r}")
         clean: dict[PauliString, float] = {}
         for p, c in self.terms.items():
-            if isinstance(p, str):
-                p = PauliString(p)
-            if p.n_qubits != self.n_qubits:
-                raise PauliError(
-                    f"term {p} has {p.n_qubits} qubits, register has {self.n_qubits}"
-                )
+            p = PauliString(p) if isinstance(p, str) else p
+            if not isinstance(p, PauliString) or p.n_qubits != n:
+                raise PauliError(f"term {p!r} is not a Pauli string on {n} qubits")
+            if not isinstance(c, numbers.Real):
+                raise PauliError(f"coefficient of {p} must be a real number, got {c!r}")
             c = float(c)
             if c != 0.0:
                 clean[p] = clean.get(p, 0.0) + c
@@ -89,65 +96,35 @@ class PauliSum:
             raise PauliError(f"non-finite coefficient in {clean}")
         self.terms = {p: c for p, c in clean.items() if c != 0.0}
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     def to_dense(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
+        h = np.zeros((2**self.n_qubits,) * 2, dtype=complex)
         for p, c in self.terms.items():
             h += c * p.matrix()
         return h
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n_qubits,
-            "terms": [
-                {"pauli": p.ops, "coeff": c}
-                for p, c in sorted(self.terms.items(), key=lambda kv: kv[0].ops)
-            ],
-        }
-        return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PauliSum":
-        payload = json.loads(text)
-        terms = {PauliString(t["pauli"]): float(t["coeff"]) for t in payload["terms"]}
-        return cls(int(payload["n"]), terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.n_qubits != self.n_qubits:
-            raise PauliError("register size mismatch")
-        merged = dict(self.terms)
-        for p, c in other.terms.items():
-            merged[p] = merged.get(p, 0.0) + c
-        return PauliSum(self.n_qubits, merged)
-
-    def __mul__(self, scale: float) -> "PauliSum":
-        return PauliSum(self.n_qubits, {p: c * scale for p, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
-def pauli_decompose(h: np.ndarray, tol: float = 1e-10, max_qubits: int = 10) -> PauliSum:
+def pauli_decompose(h: np.ndarray) -> PauliSum:
     """Decompose a dense Hermitian matrix into a PauliSum.
 
     The coefficient of string P is trace(P . h) / 2^n, computed for all 4^n
     strings at once by applying the single-qubit block transform along each
     tensor axis (O(n 4^n) instead of O(8^n) per-string traces).
     """
-    h = np.asarray(h, dtype=complex)
+    try:
+        h = np.asarray(h, dtype=complex)
+    except (TypeError, ValueError) as e:
+        raise PauliError(f"matrix is not numeric: {e}") from None
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise PauliError(f"expected a square matrix, got shape {h.shape}")
     dim = h.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise PauliError(f"dimension {dim} is not a power of two")
-    if n > max_qubits:
-        raise PauliError(f"{n} qubits exceeds the {max_qubits}-qubit guard")
+    if dim < 2 or dim & (dim - 1):
+        raise PauliError(f"dimension {dim} is not a power of two >= 2")
+    n = dim.bit_length() - 1
+    if n > _MAX_QUBITS:
+        raise PauliError(f"{n} qubits exceeds the {_MAX_QUBITS}-qubit guard")
     if not np.isfinite(h).all():
         raise PauliError("matrix has non-finite entries")
-    if np.max(np.abs(h - h.conj().T)) > tol:
+    if np.max(np.abs(h - h.conj().T)) > _TOL:
         raise PauliError("matrix is not Hermitian within tolerance")
 
     # Axes (r0..r_{n-1}, c0..c_{n-1}) -> pairs (r_k, c_k) flattened to size 4.
@@ -159,10 +136,10 @@ def pauli_decompose(h: np.ndarray, tol: float = 1e-10, max_qubits: int = 10) -> 
         t = np.moveaxis(t, 0, axis)
 
     terms: dict[PauliString, float] = {}
-    for flat_idx in np.flatnonzero(np.abs(t) > tol):
+    for flat_idx in np.flatnonzero(np.abs(t) > _TOL):
         idx = np.unravel_index(flat_idx, t.shape)
         coeff = t[idx]
-        if abs(coeff.imag) > tol:
+        if abs(coeff.imag) > _TOL:
             raise PauliError("Hermitian input produced a complex coefficient")
         terms[PauliString("".join(_LABELS[i] for i in idx))] = float(coeff.real)
     return PauliSum(n, terms)

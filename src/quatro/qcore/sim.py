@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString
 
 _NORM_TOL = 1e-10
 
@@ -32,6 +32,13 @@ def _check_integer(value, name: str, low: int):
         raise SimulationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _complex_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as e:
+        raise SimulationError(f"{name} is not numeric: {e}") from None
+
+
 @dataclass
 class StateVector:
     n_qubits: int
@@ -39,7 +46,7 @@ class StateVector:
 
     def __post_init__(self):
         _check_integer(self.n_qubits, "qubit count", 1)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        self.amplitudes = _complex_array(self.amplitudes, "amplitudes")
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise SimulationError(
                 f"expected {2**self.n_qubits} amplitudes, got {self.amplitudes.shape}"
@@ -63,7 +70,7 @@ class StateVector:
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = _complex_array(amplitudes, "amplitudes")
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise SimulationError(f"{amps.size} amplitudes are not a power of two >= 2")
         n = amps.size.bit_length() - 1
@@ -117,7 +124,7 @@ class Gate:
                 isinstance(q, (int, np.integer)) and q >= 0 for q in self.qubits):
             raise SimulationError(f"invalid qubits {self.qubits}")
         if self.kind == "U":
-            m = np.asarray(np.nan if self.matrix is None else self.matrix, dtype=complex)
+            m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
             if k not in (1, 2) or m.shape != (2**k, 2**k) or not (
                     np.abs(m.conj().T @ m - np.eye(2**k)).max() <= _NORM_TOL):
                 raise SimulationError(f"U needs a 1- or 2-qubit unitary matrix on {self.qubits}")
@@ -246,10 +253,10 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 
 # --- evolution ----------------------------------------------------------
 
-def _hermitian(h: PauliSum | np.ndarray) -> np.ndarray:
-    """``h`` as a dense matrix, checked to be square, finite and Hermitian
+def _hermitian(h) -> np.ndarray:
+    """``h`` as a complex array, checked to be square, finite and Hermitian
     (``eigh`` reads one triangle only, so it would pass anything else)."""
-    dense = h.to_dense() if isinstance(h, PauliSum) else np.asarray(h, dtype=complex)
+    dense = _complex_array(h, "operator")
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.size == 0:
         raise SimulationError(f"operator of shape {dense.shape} is not square")
     if not np.isfinite(dense).all() or np.abs(dense - dense.conj().T).max() > _NORM_TOL:
@@ -257,8 +264,10 @@ def _hermitian(h: PauliSum | np.ndarray) -> np.ndarray:
     return dense
 
 
-def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
-    """Return e^{-iHt} |psi> via Hermitian eigendecomposition (exact)."""
+def evolve(h: np.ndarray, t: float, psi: StateVector) -> StateVector:
+    """Return e^{-iHt} |psi> via Hermitian eigendecomposition (exact).
+
+    ``h`` is a dense matrix; pass a ``PauliSum`` as ``h.to_dense()``."""
     u = evolution_operator(h, t)
     if u.shape != (psi.amplitudes.size,) * 2:
         raise SimulationError(
@@ -271,8 +280,9 @@ def evolve(h: PauliSum | np.ndarray, t: float, psi: StateVector) -> StateVector:
     return StateVector(psi.n_qubits, amps)
 
 
-def evolution_operator(h: PauliSum | np.ndarray, t: float) -> np.ndarray:
-    """Dense e^{-iHt}; ``h`` must be finite and Hermitian, ``t`` finite and real."""
+def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
+    """Dense e^{-iHt}; ``h`` must be a dense finite Hermitian matrix (pass a
+    ``PauliSum`` as ``h.to_dense()``), ``t`` finite and real."""
     if not (isinstance(t, numbers.Real) and np.isfinite(t)):
         raise SimulationError(f"evolution time must be a finite real, got {t!r}")
     evals, evecs = np.linalg.eigh(_hermitian(h))
@@ -310,6 +320,7 @@ def measure_and_collapse(
     psi: StateVector, qubit: int, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Projectively measure one qubit; return (outcome, collapsed state)."""
+    _check_integer(qubit, "measured qubit", 0)
     n = psi.n_qubits
     kept = [_apply(psi.amplitudes, _compile(b, (qubit,), None, n)) for b in (0, 1)]
     p1 = float(np.sum(np.abs(kept[1]) ** 2))

@@ -73,9 +73,6 @@ class WalkResult:
     accepted_shots: list[int] | None = None
     shots: int | None = None
 
-    def table(self, timestep: int) -> np.ndarray:
-        return self.tables[timestep]
-
 
 def build_walk_hamiltonian(model: WalkModel) -> np.ndarray:
     """Dense ``n_states x n_states`` tridiagonal walk Hamiltonian; its Pauli
@@ -99,6 +96,8 @@ def calibrated_walk_model(
         dense = build_walk_hamiltonian(WalkModel(n_states, mu, coupling, dt))
         return float(np.linalg.eigvalsh(dense)[0])
 
+    if not all(isinstance(v, numbers.Real) for v in (coupling, ground_energy)):
+        raise WalkError("coupling and ground_energy must be reals")
     lo, hi = -abs(ground_energy) - 2 * abs(coupling), 0.0
     top = lam_min(hi)
     if not lam_min(lo) <= ground_energy <= top:
@@ -163,8 +162,8 @@ def boundary_detector(n_qubits: int) -> Circuit:
     keep ancilla |0>. Main-register amplitude magnitudes are unchanged.
     The ancilla is the appended qubit ``n_qubits``.
     """
-    if n_qubits < 2:
-        raise WalkError("detector needs at least 2 main qubits")
+    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 2:
+        raise WalkError(f"detector needs an integer >= 2 main qubits, got {n_qubits!r}")
     c = Circuit(n_qubits + 1)
     anc = n_qubits
     xors = list(range(1, n_qubits))

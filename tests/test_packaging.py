@@ -51,3 +51,18 @@ def test_no_module_imports_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_qcore_all_lists_exactly_its_public_imports():
+    import quatro.qcore as qcore
+
+    init = ast.parse((ROOT / "src" / "quatro" / "qcore" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert [name for name in qcore.__all__ if not hasattr(qcore, name)] == []
+    assert sorted(qcore.__all__) == sorted(set(imported))

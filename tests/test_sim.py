@@ -162,7 +162,7 @@ class TestEvolve:
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_eigenstate_picks_up_phase_only(self):
-        h = PauliSum(1, {PauliString("Z"): 1.0})
+        h = PauliSum(1, {PauliString("Z"): 1.0}).to_dense()
         out = evolve(h, 1.3, StateVector.zero(1))
         assert out.amplitudes[0] == pytest.approx(np.exp(-1.3j))
         assert abs(out.amplitudes[0]) == pytest.approx(1.0)
@@ -284,10 +284,13 @@ class TestInputChecks:
             lambda: Gate("CNOT", (1, 1)),
             lambda: Gate("X", (-1,)),
             lambda: Gate("X", (0.5,)),
+            lambda: Gate("U", (0,), matrix="ab"),
+            lambda: Circuit(1).unitary("ab", 0),
         ],
         ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
-             "repeated-qubit", "negative-qubit", "float-qubit"],
+             "repeated-qubit", "negative-qubit", "float-qubit", "u-str-matrix",
+             "unitary-str-matrix"],
     )
     def test_malformed_gate_rejected(self, gate):
         with pytest.raises(SimulationError):
@@ -301,8 +304,11 @@ class TestInputChecks:
             lambda: StateVector.from_amplitudes([1, 0, 0]),
             lambda: StateVector.from_amplitudes([[1, 0], [0, 0]]),
             lambda: StateVector(0, [1]),
+            lambda: StateVector(1, "ab"),
+            lambda: StateVector.from_amplitudes("ab"),
         ],
-        ids=["one-amplitude", "no-amplitudes", "three-amplitudes", "matrix", "zero-qubits"],
+        ids=["one-amplitude", "no-amplitudes", "three-amplitudes", "matrix", "zero-qubits",
+             "str-amplitudes", "from-str-amplitudes"],
     )
     def test_malformed_state_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -317,8 +323,10 @@ class TestInputChecks:
             np.array([[np.inf, 0], [0, 1]]),
             np.ones((2, 3)),
             np.ones(2),
+            "ab",
         ],
-        ids=["upper-triangular", "complex-symmetric", "nan", "inf", "rectangular", "vector"],
+        ids=["upper-triangular", "complex-symmetric", "nan", "inf", "rectangular", "vector",
+             "str"],
     )
     @pytest.mark.parametrize(
         "run",
@@ -356,6 +364,7 @@ class TestInputChecks:
             lambda: Circuit(0),
             lambda: NoiseModel("0.1"),
             lambda: NoiseModel(None),
+            lambda: measure_and_collapse(StateVector.zero(2), 0.5, np.random.default_rng(0)),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
@@ -364,7 +373,7 @@ class TestInputChecks:
              "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
              "zero-float-qubits", "basis-negative-qubits", "measure-float-target",
              "ry-none-angle", "ry-str-angle", "circuit-float-qubits", "circuit-zero-qubits",
-             "noise-str-probability", "noise-none-probability"],
+             "noise-str-probability", "noise-none-probability", "collapse-float-qubit"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):

@@ -185,8 +185,14 @@ class TestHamiltonian:
             lambda: WalkModel(8, "1", 1.0),
             lambda: WalkModel(8, None, 1.0),
             lambda: calibrated_walk_model(4.0, 1.0, -1.5),
+            lambda: calibrated_walk_model(4, "1", -1.5),
+            lambda: calibrated_walk_model(4, 1.0, "x"),
+            lambda: calibrated_walk_model(4, 1.0, None),
+            lambda: boundary_detector("3"),
         ],
-        ids=["float-states", "str-states", "str-drift", "none-drift", "calibrated-float-states"],
+        ids=["float-states", "str-states", "str-drift", "none-drift", "calibrated-float-states",
+             "calibrated-str-coupling", "calibrated-str-target", "calibrated-none-target",
+             "detector-str-qubits"],
     )
     def test_non_numeric_parameters(self, make):
         with pytest.raises(WalkError):
