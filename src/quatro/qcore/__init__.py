@@ -8,9 +8,9 @@ from .sim import (
     SimulationError,
     StateVector,
     apply_circuit,
+    draw_counts,
     evolution_operator,
     evolve,
-    measure_and_collapse,
     measure_probs,
     run_noisy,
     run_trajectories,
@@ -29,9 +29,9 @@ __all__ = [
     "SimulationError",
     "StateVector",
     "apply_circuit",
+    "draw_counts",
     "evolution_operator",
     "evolve",
-    "measure_and_collapse",
     "measure_probs",
     "run_noisy",
     "run_trajectories",

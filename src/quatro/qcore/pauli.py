@@ -80,7 +80,7 @@ class PauliSum:
 
     def __post_init__(self):
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise PauliError(f"qubit count must be an integer >= 1, got {n!r}")
         clean: dict[PauliString, float] = {}
         for p, c in self.terms.items():

@@ -27,9 +27,18 @@ class SimulationError(ValueError):
     """Raised on dimension mismatches, bad indices, or norm violations."""
 
 
-def _check_integer(value, name: str, low: int):
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise SimulationError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_integer(value, name: str, low: int, high: int | None = None):
+    """``value`` is an integer, not a ``bool``, with ``low <= value`` and,
+    if ``high`` is given, ``value < high``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value >= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise SimulationError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_rng(rng):
+    if not isinstance(rng, np.random.Generator):
+        raise SimulationError(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _complex_array(value, name: str) -> np.ndarray:
@@ -62,8 +71,7 @@ class StateVector:
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
         _check_integer(n_qubits, "qubit count", 1)
-        if not isinstance(index, (int, np.integer)) or not 0 <= index < 2**n_qubits:
-            raise SimulationError(f"basis index {index!r} outside a {n_qubits}-qubit register")
+        _check_integer(index, "basis index", 0, 2**n_qubits)
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
@@ -93,8 +101,7 @@ class StateVector:
 _KIND_MATRIX = {
     **_PAULI_1Q,
     "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
-    0: np.diag([1.0, 0.0]),  # projectors onto qubit = 0, 1, keyed apart from gate kinds
-    1: np.diag([0.0, 1.0]),
+    1: np.diag([0.0, 1.0]),  # PostSelect's projector onto qubit = 1, keyed apart from gate kinds
     "CNOT": np.eye(4)[[0, 1, 3, 2]],
     "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
     "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
@@ -120,9 +127,10 @@ class Gate:
 
     def __post_init__(self):
         k = len(self.qubits)
-        if len(set(self.qubits)) != k or not all(
-                isinstance(q, (int, np.integer)) and q >= 0 for q in self.qubits):
-            raise SimulationError(f"invalid qubits {self.qubits}")
+        for q in self.qubits:
+            _check_integer(q, "gate qubit", 0)
+        if len(set(self.qubits)) != k:
+            raise SimulationError(f"repeated qubits {self.qubits}")
         if self.kind == "U":
             m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
             if k not in (1, 2) or m.shape != (2**k, 2**k) or not (
@@ -193,8 +201,8 @@ _COMPILED_GATES = 128  # distinct compiled gates kept; a walk or circuit uses a 
 def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
     """One gate on an n-qubit register as a gather ``(src, w)``:
     ``out[j] = sum_t w[t, j] * in[src[t, j]]``, one term ``t`` per nonzero
-    in the fullest row of the gate's matrix. ``kind`` is a gate kind or a
-    projector's outcome; ``param`` is the angle, or a ``U``'s matrix bytes."""
+    in the fullest row of the gate's matrix. ``kind`` is a gate kind or 1,
+    ``PostSelect``'s projector; ``param`` is the angle, or a ``U``'s matrix bytes."""
     k = len(qubits)
     if not all(0 <= q < n for q in qubits):
         raise SimulationError(f"qubits {qubits} invalid for a {n}-qubit register")
@@ -299,11 +307,10 @@ def measure_probs(psi: StateVector, targets: list[int] | tuple[int, ...]) -> dic
     targets = list(targets)
     if not targets:
         raise SimulationError("targets must be nonempty")
+    for q in targets:
+        _check_integer(q, "target qubit", 0, psi.n_qubits)
     if len(set(targets)) != len(targets):
         raise SimulationError("targets must be distinct")
-    for q in targets:
-        if not isinstance(q, (int, np.integer)) or not 0 <= q < psi.n_qubits:
-            raise SimulationError(f"qubit {q!r} out of range")
     n = psi.n_qubits
     probs = psi.probabilities().reshape([2] * n)
     keep = sorted(targets)
@@ -316,26 +323,29 @@ def measure_probs(psi: StateVector, targets: list[int] | tuple[int, ...]) -> dic
     return {format(i, f"0{width}b"): float(p) for i, p in enumerate(flat)}
 
 
-def measure_and_collapse(
-    psi: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projectively measure one qubit; return (outcome, collapsed state)."""
-    _check_integer(qubit, "measured qubit", 0)
-    n = psi.n_qubits
-    kept = [_apply(psi.amplitudes, _compile(b, (qubit,), None, n)) for b in (0, 1)]
-    p1 = float(np.sum(np.abs(kept[1]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
-    return outcome, StateVector(n, kept[outcome] / np.sqrt(p1 if outcome else 1.0 - p1))
+def draw_counts(cells, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Int64 counts of ``shots`` i.i.d. draws over the kept outcomes, whose
+    probabilities ``cells`` are finite, non-negative and sum to at most
+    1 + 1e-10; the missing mass ``1 - sum(cells)`` is drawn but not counted."""
+    _check_integer(shots, "shots", 0)
+    _check_rng(rng)
+    try:
+        cells = np.asarray(cells, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SimulationError(f"cells are not numeric: {e}") from None
+    if cells.ndim != 1 or not (cells >= 0).all() or not cells.sum() <= 1.0 + _NORM_TOL:
+        raise SimulationError(f"cells are not probabilities summing to at most 1: {cells}")
+    cells = np.append(cells, max(1.0 - cells.sum(), 0.0))
+    return rng.multinomial(shots, cells / cells.sum())[:-1].astype(np.int64, copy=False)
 
 
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
-    """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed."""
+    """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed.
+    Normalised before ``draw_counts``: a ``StateVector``'s norm may be 1 +- 1e-8."""
     _check_integer(shots, "shots", 1)
     _check_integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
     probs = psi.probabilities()
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
+    counts = draw_counts(probs / probs.sum(), shots, np.random.default_rng(seed))
     out: Counter[str] = Counter()
     for i in np.flatnonzero(counts):
         out[psi.bitstring(i)] = int(counts[i])
@@ -369,6 +379,8 @@ def _noise_events(gates: list[Gate], noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> np.ndarray:
     """For each shot with at least one depolarizing event, which of
     ``gates`` are followed by one."""
+    if not isinstance(noise, NoiseModel):
+        raise SimulationError(f"noise must be a NoiseModel, got {noise!r}")
     probs = np.array([noise.gate_probability(g) for g in gates])
     events = rng.random((shots, probs.size)) < probs[None, :]
     return events[events.any(axis=1)]
@@ -418,6 +430,7 @@ def run_trajectories(
     every ``PostSelect``; the shots not counted were discarded.
     """
     _check_integer(shots, "shots", 1)
+    _check_rng(rng)
     n = psi0.n_qubits
     ops = [_compile_step(step, n) for step in program]
     events = np.zeros((0, 0), dtype=bool)
@@ -426,8 +439,8 @@ def run_trajectories(
         events = _noise_events(gates, noise, shots, rng)
 
     # Row 0 is shared by every shot without an event, row r >= 1 is the r-th
-    # noisy shot. Rows are never renormalised: the squared norm of a row is
-    # the probability that it passed every post-selection.
+    # noisy shot. Rows are never renormalised: a row's squared norm is the
+    # probability that it passed every post-selection, the rest is discarded.
     block = np.tile(psi0.amplitudes, (1 + len(events), 1))
     g_idx = 0
     for step, op in zip(program, ops):
@@ -438,9 +451,8 @@ def run_trajectories(
                 block = _inject_pauli(block, hit, step.qubits, n, rng)
             g_idx += 1
     probs = np.abs(block) ** 2
-    # Clean shots: one multinomial over the outcomes and the discarded mass.
-    cells = np.append(probs[0], max(1.0 - probs[0].sum(), 0.0))
-    counts = rng.multinomial(shots - len(events), cells / cells.sum())[:-1]
+    # Clean shots: one draw over row 0's outcomes and its discarded mass.
+    counts = draw_counts(probs[0], shots - len(events), rng)
     # Noisy shots: one inverse-CDF draw per row; a uniform past the row's
     # mass lands on outcome 2**n, the discarded one.
     cdf = np.cumsum(probs[1:], axis=1)

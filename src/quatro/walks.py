@@ -26,12 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (Circuit, Gate, NoiseModel, PostSelect, StateVector,
+from .qcore import (Circuit, Gate, NoiseModel, PostSelect, StateVector, draw_counts,
                     evolution_operator, run_trajectories)
 
 
 class WalkError(ValueError):
     pass
+
+
+def _check_integer(value, name: str, low: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise WalkError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,9 @@ class WalkModel:
 
     def __post_init__(self):
         n = self.n_states
-        if not isinstance(n, (int, np.integer)) or n < 4 or n & (n - 1):
-            raise WalkError(f"n_states must be an integer power of two >= 4, got {n!r}")
+        _check_integer(n, "n_states", 4)
+        if n & (n - 1):
+            raise WalkError(f"n_states must be a power of two, got {n!r}")
         reals = (self.drift, self.coupling, self.dt)
         if not all(isinstance(v, numbers.Real) for v in reals) or not np.isfinite(reals).all():
             raise WalkError("drift, coupling and dt must be finite reals")
@@ -118,8 +124,7 @@ def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResu
     """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise WalkError("steps must be an integer >= 0")
+    _check_integer(steps, "steps", 0)
     u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     amps = psi0.amplitudes.copy()
     tables = [np.abs(amps) ** 2]
@@ -162,8 +167,7 @@ def boundary_detector(n_qubits: int) -> Circuit:
     keep ancilla |0>. Main-register amplitude magnitudes are unchanged.
     The ancilla is the appended qubit ``n_qubits``.
     """
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 2:
-        raise WalkError(f"detector needs an integer >= 2 main qubits, got {n_qubits!r}")
+    _check_integer(n_qubits, "detector main qubits", 2)
     c = Circuit(n_qubits + 1)
     anc = n_qubits
     xors = list(range(1, n_qubits))
@@ -208,10 +212,8 @@ def _sampled_absorbing(
     seed: int,
     noise: NoiseModel | None,
 ) -> WalkResult:
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise WalkError("sampled path requires an integer shots >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise WalkError("seed must be a non-negative integer")
+    _check_integer(shots, "shots", 1)
+    _check_integer(seed, "seed", 0)
     if noise is None:
         exact = _exact_absorbing(u, psi0, steps).tables
     else:
@@ -229,11 +231,9 @@ def _sampled_absorbing(
         # Arm k measures the lattice after k steps: k - 1 post-selections.
         rng = np.random.default_rng([seed, arm])
         if noise is None:
-            # Shots are iid and only their counts are kept, so they are one
-            # multinomial over the lattice states and the absorbed outcome,
-            # whose cells are the arm's exact projected table.
-            cells = np.append(exact[arm], max(1.0 - exact[arm].sum(), 0.0))
-            counts = rng.multinomial(shots, cells / cells.sum())[:-1]
+            # Shots are iid and only their counts are kept: one draw over the
+            # arm's exact projected table, whose missing mass is the absorbed outcome.
+            counts = draw_counts(exact[arm], shots, rng)
         else:
             program = [u_full] + mid_step * (arm - 1)
             # The ancilla is the last qubit: sum it out of the register counts.
@@ -273,18 +273,12 @@ def absorbing_walk(
     """
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise WalkError("steps must be an integer >= 1")
+    _check_integer(steps, "steps", 1)
+    if noise is not None and not isinstance(noise, NoiseModel):
+        raise WalkError(f"noise must be a NoiseModel or None, got {noise!r}")
     if shots is None and noise is not None:
         raise WalkError("noise applies to the sampled path only")
     u = evolution_operator(build_walk_hamiltonian(model), model.dt)
     if shots is None:
         return _exact_absorbing(u, psi0, steps)
     return _sampled_absorbing(model, u, psi0, steps, shots, seed, noise)
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """TV distance treating any missing mass as an implicit absorbed outcome."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * (np.abs(p - q).sum() + abs((1.0 - p.sum()) - (1.0 - q.sum())))

@@ -119,6 +119,7 @@ def test_non_finite_coefficient_rejected(make):
     [
         (lambda: PauliSum(-1, {}), "qubit count"),
         (lambda: PauliSum(2.5, {}), "qubit count"),
+        (lambda: PauliSum(True, {}), "qubit count"),
         (lambda: PauliSum(1, {"X": None}), "real number"),
         (lambda: PauliSum(1, {"X": "a"}), "real number"),
         (lambda: PauliSum(1, {"X": 1j}), "real number"),
@@ -128,7 +129,7 @@ def test_non_finite_coefficient_rejected(make):
         (lambda: pauli_decompose(np.eye(1)), "power of two >= 2"),
         (lambda: pauli_decompose("ab"), "not numeric"),
     ],
-    ids=["negative-qubits", "float-qubits", "none-coefficient", "str-coefficient",
+    ids=["negative-qubits", "float-qubits", "bool-qubits", "none-coefficient", "str-coefficient",
          "complex-coefficient", "int-term", "int-string", "empty-matrix", "one-by-one",
          "str-matrix"],
 )

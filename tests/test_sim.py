@@ -17,9 +17,9 @@ from quatro.qcore import (
     SimulationError,
     StateVector,
     apply_circuit,
+    draw_counts,
     evolution_operator,
     evolve,
-    measure_and_collapse,
     measure_probs,
     run_noisy,
     run_trajectories,
@@ -278,18 +278,19 @@ class TestInputChecks:
             lambda: Gate("U", (0, 1, 2), matrix=np.eye(8)),
             lambda: Gate("U", (0,), matrix=2 * np.eye(2)),
             lambda: Gate("SWAP", (0, 1)),
-            lambda: Gate(0, (0,)),
+            lambda: Gate(1, (0,)),
             lambda: Gate("CNOT", (0,)),
             lambda: Gate("X", (0, 1)),
             lambda: Gate("CNOT", (1, 1)),
             lambda: Gate("X", (-1,)),
             lambda: Gate("X", (0.5,)),
+            lambda: Gate("X", (True,)),
             lambda: Gate("U", (0,), matrix="ab"),
             lambda: Circuit(1).unitary("ab", 0),
         ],
         ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
-             "repeated-qubit", "negative-qubit", "float-qubit", "u-str-matrix",
+             "repeated-qubit", "negative-qubit", "float-qubit", "bool-qubit", "u-str-matrix",
              "unitary-str-matrix"],
     )
     def test_malformed_gate_rejected(self, gate):
@@ -364,7 +365,17 @@ class TestInputChecks:
             lambda: Circuit(0),
             lambda: NoiseModel("0.1"),
             lambda: NoiseModel(None),
-            lambda: measure_and_collapse(StateVector.zero(2), 0.5, np.random.default_rng(0)),
+            lambda: StateVector.basis(1, True),
+            lambda: Circuit(True),
+            lambda: PostSelect(False),
+            lambda: measure_probs(StateVector.zero(2), [True]),
+            lambda: measure_probs(StateVector.zero(2), [[0]]),
+            lambda: sample(StateVector.zero(1), True, 0),
+            lambda: run_noisy(Circuit(1).x(0), "x", 10, 0),
+            lambda: run_trajectories(Circuit(1).x(0).gates, StateVector.zero(1), 10,
+                                     np.random.default_rng(0), "x"),
+            lambda: run_trajectories([], StateVector.zero(1), 3, "rng"),
+            lambda: run_trajectories([], StateVector.zero(1), 3, 0),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
@@ -373,7 +384,10 @@ class TestInputChecks:
              "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
              "zero-float-qubits", "basis-negative-qubits", "measure-float-target",
              "ry-none-angle", "ry-str-angle", "circuit-float-qubits", "circuit-zero-qubits",
-             "noise-str-probability", "noise-none-probability", "collapse-float-qubit"],
+             "noise-str-probability", "noise-none-probability", "basis-bool-index",
+             "circuit-bool-qubits", "post-select-bool", "measure-bool-target",
+             "measure-list-target", "sample-bool-shots", "run-noisy-str-noise",
+             "trajectories-str-noise", "trajectories-str-rng", "trajectories-int-rng"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -393,10 +407,9 @@ class TestRegisterChecks:
             lambda rng: run_trajectories([PostSelect(2)], StateVector.zero(2), 10, rng),
             lambda rng: run_trajectories([PostSelect(-1)], StateVector.zero(2), 10, rng),
             lambda rng: run_trajectories([np.eye(2)], StateVector.zero(2), 10, rng),
-            lambda rng: measure_and_collapse(StateVector.zero(2), 2, rng),
         ],
         ids=["gate", "noisy-gate", "apply-circuit", "post-select", "post-select-negative",
-             "dense-step", "collapse"],
+             "dense-step"],
     )
     def test_out_of_register_rejected(self, run):
         with pytest.raises(SimulationError):
@@ -494,14 +507,6 @@ class TestMeasure:
         with pytest.raises(SimulationError):
             measure_probs(StateVector.zero(1), [])
 
-    def test_collapse(self):
-        bell = StateVector.from_amplitudes([1, 0, 0, 1])
-        rng = np.random.default_rng(3)
-        outcome, post = measure_and_collapse(bell, 0, rng)
-        expect = np.zeros(4)
-        expect[3 if outcome else 0] = 1.0
-        assert np.allclose(np.abs(post.amplitudes) ** 2, expect)
-
 
 class TestSample:
     def test_deterministic_state_gives_constant_samples(self):
@@ -530,6 +535,46 @@ class TestSample:
     def test_zero_shots_rejected(self, run, shots):
         with pytest.raises(SimulationError):
             run(shots)
+
+
+class TestDrawCounts:
+    @pytest.mark.parametrize(
+        "cells, shots, rng",
+        [
+            ([0.5, np.nan], 10, np.random.default_rng(0)),
+            ([0.5, np.inf], 10, np.random.default_rng(0)),
+            ([0.5, -np.inf], 10, np.random.default_rng(0)),
+            ([0.5, -1e-3], 10, np.random.default_rng(0)),
+            ([0.5, 0.5 + 1e-9], 10, np.random.default_rng(0)),
+            ([[0.5, 0.5]], 10, np.random.default_rng(0)),
+            (["a", "b"], 10, np.random.default_rng(0)),
+            ([0.5, 0.5], -1, np.random.default_rng(0)),
+            ([0.5, 0.5], 2.5, np.random.default_rng(0)),
+            ([0.5, 0.5], True, np.random.default_rng(0)),
+            ([0.5, 0.5], 10, "rng"),
+            ([0.5, 0.5], 10, None),
+        ],
+        ids=["nan", "inf", "-inf", "negative", "sum-past-one", "2d", "str", "negative-shots",
+             "float-shots", "bool-shots", "str-rng", "none-rng"],
+    )
+    def test_malformed_input_rejected(self, cells, shots, rng):
+        with pytest.raises(SimulationError):
+            draw_counts(cells, shots, rng)
+
+    def test_zero_shots_give_zeros(self):
+        counts = draw_counts([0.2, 0.3, 0.5], 0, np.random.default_rng(0))
+        assert counts.tolist() == [0, 0, 0]
+
+    def test_missing_mass_is_drawn_but_not_counted(self):
+        shots, kept = 100_000, 0.6
+        counts = draw_counts([0.2, 0.4], shots, np.random.default_rng(1))
+        assert abs(counts.sum() - kept * shots) <= 5 * np.sqrt(shots * kept * (1 - kept))
+
+    def test_certain_outcome_takes_every_shot(self):
+        assert draw_counts([1.0, 0.0], 1000, np.random.default_rng(2)).tolist() == [1000, 0]
+
+    def test_counts_are_int64(self):
+        assert draw_counts([0.5, 0.5], 10, np.random.default_rng(3)).dtype == np.int64
 
 
 class TestNoise:

@@ -22,7 +22,6 @@ from quatro.walks import (
     build_walk_hamiltonian,
     calibrated_walk_model,
     reflecting_walk,
-    total_variation,
 )
 
 
@@ -97,6 +96,13 @@ def noisy_absorbing_oracle(model, psi0, steps, noise):
         kept[:, 0, :, 0] = blocks[:, 1, :, 1]
         rho = depolarize(kept.reshape(dim, dim), noise.p1, (n_main,), n_full)
     return tables
+
+
+def total_variation(p, q):
+    """TV distance treating any missing mass as an implicit absorbed outcome."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return 0.5 * (np.abs(p - q).sum() + abs((1.0 - p.sum()) - (1.0 - q.sum())))
 
 
 def outside_five_sigma(tables, reference, shots):
@@ -236,7 +242,7 @@ class TestReflecting:
             assert np.max(np.abs(res.tables[k] - np.abs(amps) ** 2)) < 1e-9
             amps = u @ amps
 
-    @pytest.mark.parametrize("steps", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("steps", [-1, 2.5, "3", True])
     def test_bad_steps_rejected(self, steps):
         with pytest.raises(WalkError):
             reflecting_walk(WalkModel(4, -0.5, 1.0), StateVector.basis(2, 1), steps)
@@ -418,14 +424,21 @@ class TestAbsorbing:
 
         assert peak(200_000) <= 1.5 * peak(2_000)
 
-    @pytest.mark.parametrize("shots, seed", [(0, 0), (2.5, 0), (10, -1), (10, 1.5)])
+    @pytest.mark.parametrize("shots, seed",
+                             [(0, 0), (2.5, 0), (True, 0), (10, -1), (10, 1.5), (10, True)])
     def test_zero_shots_rejected(self, shots, seed):
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
             absorbing_walk(model, StateVector.basis(2, 1), 2, shots=shots, seed=seed)
 
+    @pytest.mark.parametrize("noise", ["x", 0.1, (0.1, 0.1)])
+    def test_non_noise_model_rejected(self, noise):
+        model = WalkModel(4, -0.5, 1.0)
+        with pytest.raises(WalkError):
+            absorbing_walk(model, StateVector.basis(2, 1), 2, shots=10, noise=noise)
+
     @pytest.mark.parametrize("shots", [None, 100])
-    @pytest.mark.parametrize("steps", [0, 2.5, "3"])
+    @pytest.mark.parametrize("steps", [0, 2.5, "3", True])
     def test_bad_steps_rejected(self, steps, shots):
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
