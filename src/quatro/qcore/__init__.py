@@ -10,8 +10,6 @@ from .sim import (
     apply_circuit,
     draw_counts,
     evolution_operator,
-    evolve,
-    measure_probs,
     run_noisy,
     run_trajectories,
     sample,
@@ -31,8 +29,6 @@ __all__ = [
     "apply_circuit",
     "draw_counts",
     "evolution_operator",
-    "evolve",
-    "measure_probs",
     "run_noisy",
     "run_trajectories",
     "sample",

@@ -19,6 +19,7 @@ import numpy as np
 from .pauli import PauliString
 
 _NORM_TOL = 1e-10
+_MAX_SHOTS = 2**63  # exclusive: numpy's multinomial takes an int64 count
 
 _PAULI_1Q = {c: PauliString(c).matrix() for c in "IXYZ"}
 
@@ -36,9 +37,9 @@ def _check_integer(value, name: str, low: int, high: int | None = None):
         raise SimulationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _check_rng(rng):
-    if not isinstance(rng, np.random.Generator):
-        raise SimulationError(f"rng must be a numpy Generator, got {rng!r}")
+def _check_type(value, cls: type, name: str):
+    if not isinstance(value, cls):
+        raise SimulationError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _complex_array(value, name: str) -> np.ndarray:
@@ -126,6 +127,8 @@ class Gate:
     matrix: np.ndarray | None = None  # for generic 1q/2q unitaries
 
     def __post_init__(self):
+        if not isinstance(self.qubits, (tuple, list)):
+            raise SimulationError(f"gate qubits must be a tuple or list, got {self.qubits!r}")
         k = len(self.qubits)
         for q in self.qubits:
             _check_integer(q, "gate qubit", 0)
@@ -246,6 +249,8 @@ def _apply(block: np.ndarray, op) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Apply gates in order; unitary, so the norm is preserved."""
+    _check_type(circuit, Circuit, "circuit")
+    _check_type(psi, StateVector, "psi")
     if circuit.n_qubits != psi.n_qubits:
         raise SimulationError(
             f"circuit has {circuit.n_qubits} qubits, state has {psi.n_qubits}"
@@ -272,25 +277,10 @@ def _hermitian(h) -> np.ndarray:
     return dense
 
 
-def evolve(h: np.ndarray, t: float, psi: StateVector) -> StateVector:
-    """Return e^{-iHt} |psi> via Hermitian eigendecomposition (exact).
-
-    ``h`` is a dense matrix; pass a ``PauliSum`` as ``h.to_dense()``."""
-    u = evolution_operator(h, t)
-    if u.shape != (psi.amplitudes.size,) * 2:
-        raise SimulationError(
-            f"operator shape {u.shape} does not match state dim {psi.amplitudes.size}"
-        )
-    amps = u @ psi.amplitudes
-    norm = np.sum(np.abs(amps) ** 2)
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise SimulationError(f"norm drifted to {norm}")
-    return StateVector(psi.n_qubits, amps)
-
-
 def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
     """Dense e^{-iHt}; ``h`` must be a dense finite Hermitian matrix (pass a
-    ``PauliSum`` as ``h.to_dense()``), ``t`` finite and real."""
+    ``PauliSum`` as ``h.to_dense()``), ``t`` finite and real. Evolve a state
+    as ``evolution_operator(h, t) @ psi.amplitudes``."""
     if not (isinstance(t, numbers.Real) and np.isfinite(t)):
         raise SimulationError(f"evolution time must be a finite real, got {t!r}")
     evals, evecs = np.linalg.eigh(_hermitian(h))
@@ -299,36 +289,12 @@ def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
 
 # --- measurement and sampling -------------------------------------------
 
-def measure_probs(psi: StateVector, targets: list[int] | tuple[int, ...]) -> dict[str, float]:
-    """Marginal probabilities over the target qubits, keyed by bitstring.
-
-    Key bit order follows ``targets``; probabilities sum to 1.
-    """
-    targets = list(targets)
-    if not targets:
-        raise SimulationError("targets must be nonempty")
-    for q in targets:
-        _check_integer(q, "target qubit", 0, psi.n_qubits)
-    if len(set(targets)) != len(targets):
-        raise SimulationError("targets must be distinct")
-    n = psi.n_qubits
-    probs = psi.probabilities().reshape([2] * n)
-    keep = sorted(targets)
-    drop = tuple(ax for ax in range(n) if ax not in keep)
-    marg = probs.sum(axis=drop) if drop else probs
-    # Reorder the kept axes to the caller's target order.
-    marg = np.transpose(marg, [keep.index(q) for q in targets])
-    flat = marg.reshape(-1)
-    width = len(targets)
-    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(flat)}
-
-
 def draw_counts(cells, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Int64 counts of ``shots`` i.i.d. draws over the kept outcomes, whose
     probabilities ``cells`` are finite, non-negative and sum to at most
     1 + 1e-10; the missing mass ``1 - sum(cells)`` is drawn but not counted."""
-    _check_integer(shots, "shots", 0)
-    _check_rng(rng)
+    _check_integer(shots, "shots", 0, _MAX_SHOTS)
+    _check_type(rng, np.random.Generator, "rng")
     try:
         cells = np.asarray(cells, dtype=float)
     except (TypeError, ValueError) as e:
@@ -342,7 +308,8 @@ def draw_counts(cells, shots: int, rng: np.random.Generator) -> np.ndarray:
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
     """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed.
     Normalised before ``draw_counts``: a ``StateVector``'s norm may be 1 +- 1e-8."""
-    _check_integer(shots, "shots", 1)
+    _check_type(psi, StateVector, "psi")
+    _check_integer(shots, "shots", 1, _MAX_SHOTS)
     _check_integer(seed, "seed", 0)
     probs = psi.probabilities()
     counts = draw_counts(probs / probs.sum(), shots, np.random.default_rng(seed))
@@ -379,8 +346,7 @@ def _noise_events(gates: list[Gate], noise: NoiseModel, shots: int,
                   rng: np.random.Generator) -> np.ndarray:
     """For each shot with at least one depolarizing event, which of
     ``gates`` are followed by one."""
-    if not isinstance(noise, NoiseModel):
-        raise SimulationError(f"noise must be a NoiseModel, got {noise!r}")
+    _check_type(noise, NoiseModel, "noise")
     probs = np.array([noise.gate_probability(g) for g in gates])
     events = rng.random((shots, probs.size)) < probs[None, :]
     return events[events.any(axis=1)]
@@ -429,8 +395,9 @@ def run_trajectories(
     Returns the counts of the ``2**n`` outcomes over the shots that passed
     every ``PostSelect``; the shots not counted were discarded.
     """
-    _check_integer(shots, "shots", 1)
-    _check_rng(rng)
+    _check_type(psi0, StateVector, "psi0")
+    _check_integer(shots, "shots", 1, _MAX_SHOTS)
+    _check_type(rng, np.random.Generator, "rng")
     n = psi0.n_qubits
     ops = [_compile_step(step, n) for step in program]
     events = np.zeros((0, 0), dtype=bool)
@@ -470,7 +437,8 @@ def run_noisy(
     noise. Shots without any injection share the ideal final state; they
     are drawn in one batch, which leaves the output distribution unchanged.
     """
-    _check_integer(shots, "shots", 1)
+    _check_type(circuit, Circuit, "circuit")
+    _check_integer(shots, "shots", 1, _MAX_SHOTS)
     _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits

@@ -34,9 +34,11 @@ class WalkError(ValueError):
     pass
 
 
-def _check_integer(value, name: str, low: int):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise WalkError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_integer(value, name: str, low: int, high: int | None = None):
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value >= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise WalkError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,21 @@ def calibrated_walk_model(
     return WalkModel(n_states, (lo + hi) / 2, coupling, dt)
 
 
-def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResult:
-    """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
+def _walk_operator(model: WalkModel, psi0: StateVector, steps: int,
+                   min_steps: int) -> np.ndarray:
+    """Check a walk's model, initial state and step count; return its
+    one-step operator U = e^{-iH dt}."""
+    if not (isinstance(model, WalkModel) and isinstance(psi0, StateVector)):
+        raise WalkError(f"need a WalkModel and a StateVector, got {model!r} and {psi0!r}")
     if psi0.amplitudes.size != model.n_states:
         raise WalkError("initial state dimension does not match the lattice")
-    _check_integer(steps, "steps", 0)
-    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
+    _check_integer(steps, "steps", min_steps)
+    return evolution_operator(build_walk_hamiltonian(model), model.dt)
+
+
+def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResult:
+    """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
+    u = _walk_operator(model, psi0, steps, 0)
     amps = psi0.amplitudes.copy()
     tables = [np.abs(amps) ** 2]
     for _ in range(steps):
@@ -212,7 +223,7 @@ def _sampled_absorbing(
     seed: int,
     noise: NoiseModel | None,
 ) -> WalkResult:
-    _check_integer(shots, "shots", 1)
+    _check_integer(shots, "shots", 1, 2**63)  # numpy's multinomial takes an int64 count
     _check_integer(seed, "seed", 0)
     if noise is None:
         exact = _exact_absorbing(u, psi0, steps).tables
@@ -271,14 +282,11 @@ def absorbing_walk(
     the counts of one ``run_trajectories`` call. Either keeps the output law,
     but not the outputs for a given seed, of drawing each shot alone.
     """
-    if psi0.amplitudes.size != model.n_states:
-        raise WalkError("initial state dimension does not match the lattice")
-    _check_integer(steps, "steps", 1)
     if noise is not None and not isinstance(noise, NoiseModel):
         raise WalkError(f"noise must be a NoiseModel or None, got {noise!r}")
     if shots is None and noise is not None:
         raise WalkError("noise applies to the sampled path only")
-    u = evolution_operator(build_walk_hamiltonian(model), model.dt)
+    u = _walk_operator(model, psi0, steps, 1)
     if shots is None:
         return _exact_absorbing(u, psi0, steps)
     return _sampled_absorbing(model, u, psi0, steps, shots, seed, noise)

@@ -1,4 +1,5 @@
-"""pyproject.toml declares only what the package uses and ships."""
+"""pyproject.toml declares only what the package uses and ships, and
+``qcore`` exports only what a model or the benchmark calls."""
 import ast
 import importlib
 import re
@@ -6,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
-PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def project():
+    """pyproject.toml's ``[project]`` table; ``tomllib`` is stdlib from 3.11."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
 def package_import_nodes():
@@ -32,12 +36,12 @@ def imported_top_level_names():
 
 def test_every_dependency_is_imported():
     imported = imported_top_level_names()
-    names = [re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in PROJECT["dependencies"]]
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in project()["dependencies"]]
     assert [n for n in names if n.replace("-", "_").lower() not in imported] == []
 
 
 def test_every_script_target_resolves():
-    for target in PROJECT.get("scripts", {}).values():
+    for target in project().get("scripts", {}).values():
         module_name, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module_name), attr)), target
 
@@ -66,3 +70,27 @@ def test_qcore_all_lists_exactly_its_public_imports():
     ]
     assert [name for name in qcore.__all__ if not hasattr(qcore, name)] == []
     assert sorted(qcore.__all__) == sorted(set(imported))
+
+
+def test_every_qcore_name_has_a_caller():
+    """A name in ``qcore.__all__`` is used outside ``qcore/__init__.py``, by
+    the package or the benchmark: as a name, an attribute, an imported
+    name or an exact string (``getattr(qcore, "...")``)."""
+    import quatro.qcore as qcore
+
+    init = ROOT / "src" / "quatro" / "qcore" / "__init__.py"
+    paths = [*(ROOT / "src" / "quatro").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in paths:
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(set(qcore.__all__) - used) == []

@@ -19,8 +19,6 @@ from quatro.qcore import (
     apply_circuit,
     draw_counts,
     evolution_operator,
-    evolve,
-    measure_probs,
     run_noisy,
     run_trajectories,
     sample,
@@ -156,16 +154,18 @@ class TestGateReference:
 
 
 class TestEvolve:
+    """``evolution_operator(h, t) @ psi`` is the one evolution path."""
+
     def test_t_zero_is_identity(self):
         psi = StateVector.from_amplitudes(np.arange(1, 5))
-        out = evolve(random_hermitian(2, 0), 0.0, psi)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        out = evolution_operator(random_hermitian(2, 0), 0.0) @ psi.amplitudes
+        assert np.allclose(out, psi.amplitudes)
 
     def test_eigenstate_picks_up_phase_only(self):
         h = PauliSum(1, {PauliString("Z"): 1.0}).to_dense()
-        out = evolve(h, 1.3, StateVector.zero(1))
-        assert out.amplitudes[0] == pytest.approx(np.exp(-1.3j))
-        assert abs(out.amplitudes[0]) == pytest.approx(1.0)
+        out = evolution_operator(h, 1.3) @ StateVector.zero(1).amplitudes
+        assert out[0] == pytest.approx(np.exp(-1.3j))
+        assert abs(out[0]) == pytest.approx(1.0)
 
     def test_matches_taylor_series_oracle(self):
         h = random_hermitian(3, 7)
@@ -174,24 +174,20 @@ class TestEvolve:
             rng.normal(size=8) + 1j * rng.normal(size=8)
         )
         expected = taylor_evolve(h, 0.7, psi.amplitudes)
-        out = evolve(h, 0.7, psi)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+        out = evolution_operator(h, 0.7) @ psi.amplitudes
+        assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_norm_preserved(self):
         psi = StateVector.from_amplitudes(np.ones(8))
-        out = evolve(random_hermitian(3, 3), 2.1, psi)
-        assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
+        out = evolution_operator(random_hermitian(3, 3), 2.1) @ psi.amplitudes
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_time_additivity(self):
         h = random_hermitian(2, 9)
         psi = StateVector.from_amplitudes([1, 2, 3, 4])
-        once = evolve(h, 0.9, psi)
-        split = evolve(h, 0.5, evolve(h, 0.4, psi))
-        assert np.max(np.abs(once.amplitudes - split.amplitudes)) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SimulationError):
-            evolve(random_hermitian(2, 0), 1.0, StateVector.zero(1))
+        once = evolution_operator(h, 0.9) @ psi.amplitudes
+        split = evolution_operator(h, 0.5) @ (evolution_operator(h, 0.4) @ psi.amplitudes)
+        assert np.max(np.abs(once - split)) < 1e-9
 
 
 class TestApplyCircuit:
@@ -287,11 +283,12 @@ class TestInputChecks:
             lambda: Gate("X", (True,)),
             lambda: Gate("U", (0,), matrix="ab"),
             lambda: Circuit(1).unitary("ab", 0),
+            lambda: Gate("X", 0),
         ],
         ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
              "repeated-qubit", "negative-qubit", "float-qubit", "bool-qubit", "u-str-matrix",
-             "unitary-str-matrix"],
+             "unitary-str-matrix", "int-qubits"],
     )
     def test_malformed_gate_rejected(self, gate):
         with pytest.raises(SimulationError):
@@ -331,8 +328,8 @@ class TestInputChecks:
     )
     @pytest.mark.parametrize(
         "run",
-        [lambda h: evolve(h, 0.5, StateVector.zero(1)), lambda h: evolution_operator(h, 0.5)],
-        ids=["evolve", "evolution_operator"],
+        [lambda h: evolution_operator(h, 0.5)],
+        ids=["evolution_operator"],
     )
     def test_non_hermitian_operator_rejected(self, run, h):
         with pytest.raises(SimulationError):
@@ -347,7 +344,7 @@ class TestInputChecks:
             lambda: evolution_operator(np.eye(2), np.nan),
             lambda: evolution_operator(np.eye(2), np.inf),
             lambda: evolution_operator(np.eye(2), 1j),
-            lambda: evolve(np.eye(2), "0.5", StateVector.zero(1)),
+            lambda: evolution_operator(np.eye(2), "0.5"),
             lambda: PostSelect(0.5),
             lambda: PostSelect(-1),
             lambda: sample(StateVector.zero(1), 10, -1),
@@ -358,7 +355,6 @@ class TestInputChecks:
             lambda: StateVector.zero(-1),
             lambda: StateVector.zero(2.5),
             lambda: StateVector.basis(-1, 0),
-            lambda: measure_probs(StateVector.zero(2), [0.5]),
             lambda: Circuit(1).ry(None, 0),
             lambda: Circuit(1).ry("a", 0),
             lambda: Circuit(2.5),
@@ -368,26 +364,32 @@ class TestInputChecks:
             lambda: StateVector.basis(1, True),
             lambda: Circuit(True),
             lambda: PostSelect(False),
-            lambda: measure_probs(StateVector.zero(2), [True]),
-            lambda: measure_probs(StateVector.zero(2), [[0]]),
             lambda: sample(StateVector.zero(1), True, 0),
             lambda: run_noisy(Circuit(1).x(0), "x", 10, 0),
             lambda: run_trajectories(Circuit(1).x(0).gates, StateVector.zero(1), 10,
                                      np.random.default_rng(0), "x"),
             lambda: run_trajectories([], StateVector.zero(1), 3, "rng"),
             lambda: run_trajectories([], StateVector.zero(1), 3, 0),
+            lambda: apply_circuit(Circuit(1).x(0), [1, 0]),
+            lambda: apply_circuit("c", StateVector.zero(1)),
+            lambda: run_noisy("c", None, 3, 0),
+            lambda: run_trajectories([Gate("X", (0,))], [1, 0], 3, np.random.default_rng(0)),
+            lambda: sample([1, 0], 3, 0),
+            lambda: sample(StateVector.zero(1), 2**63, 0),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
              "post-select-float", "post-select-negative", "sample-negative-seed",
              "run-noisy-negative-seed", "trajectories-negative-shots",
              "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
-             "zero-float-qubits", "basis-negative-qubits", "measure-float-target",
-             "ry-none-angle", "ry-str-angle", "circuit-float-qubits", "circuit-zero-qubits",
+             "zero-float-qubits", "basis-negative-qubits", "ry-none-angle", "ry-str-angle",
+             "circuit-float-qubits", "circuit-zero-qubits",
              "noise-str-probability", "noise-none-probability", "basis-bool-index",
-             "circuit-bool-qubits", "post-select-bool", "measure-bool-target",
-             "measure-list-target", "sample-bool-shots", "run-noisy-str-noise",
-             "trajectories-str-noise", "trajectories-str-rng", "trajectories-int-rng"],
+             "circuit-bool-qubits", "post-select-bool", "sample-bool-shots",
+             "run-noisy-str-noise", "trajectories-str-noise", "trajectories-str-rng",
+             "trajectories-int-rng", "apply-circuit-list-state", "apply-circuit-str-circuit",
+             "run-noisy-str-circuit", "trajectories-list-state", "sample-list-state",
+             "sample-int64-overflow-shots"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -471,43 +473,6 @@ class TestCircuitProperties:
         assert np.max(np.abs(out - full @ psi.amplitudes)) <= 1e-12
 
 
-class TestMeasure:
-    def test_deterministic_state(self):
-        probs = measure_probs(StateVector.zero(2), [0, 1])
-        assert probs["00"] == pytest.approx(1.0)
-
-    def test_bell_marginal(self):
-        bell = StateVector.from_amplitudes([1, 0, 0, 1])
-        probs = measure_probs(bell, [0])
-        assert probs["0"] == pytest.approx(0.5)
-        assert probs["1"] == pytest.approx(0.5)
-
-    def test_marginals_match_dense_oracle(self):
-        rng = np.random.default_rng(5)
-        psi = StateVector.from_amplitudes(
-            rng.normal(size=8) + 1j * rng.normal(size=8)
-        )
-        probs = measure_probs(psi, [1, 2])
-        dense = np.abs(psi.amplitudes) ** 2
-        for key, p in probs.items():
-            expected = sum(
-                dense[i]
-                for i in range(8)
-                if format(i, "03b")[1] == key[0] and format(i, "03b")[2] == key[1]
-            )
-            assert p == pytest.approx(expected, abs=1e-12)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
-
-    def test_target_order_is_respected(self):
-        psi = apply_circuit(Circuit(2).x(1), StateVector.zero(2))  # |01>
-        assert measure_probs(psi, [0, 1])["01"] == pytest.approx(1.0)
-        assert measure_probs(psi, [1, 0])["10"] == pytest.approx(1.0)
-
-    def test_empty_targets_rejected(self):
-        with pytest.raises(SimulationError):
-            measure_probs(StateVector.zero(1), [])
-
-
 class TestSample:
     def test_deterministic_state_gives_constant_samples(self):
         psi = StateVector.basis(3, 0b101)
@@ -553,9 +518,10 @@ class TestDrawCounts:
             ([0.5, 0.5], True, np.random.default_rng(0)),
             ([0.5, 0.5], 10, "rng"),
             ([0.5, 0.5], 10, None),
+            ([0.5], 2**63, np.random.default_rng(0)),
         ],
         ids=["nan", "inf", "-inf", "negative", "sum-past-one", "2d", "str", "negative-shots",
-             "float-shots", "bool-shots", "str-rng", "none-rng"],
+             "float-shots", "bool-shots", "str-rng", "none-rng", "int64-overflow-shots"],
     )
     def test_malformed_input_rejected(self, cells, shots, rng):
         with pytest.raises(SimulationError):
@@ -575,6 +541,10 @@ class TestDrawCounts:
 
     def test_counts_are_int64(self):
         assert draw_counts([0.5, 0.5], 10, np.random.default_rng(3)).dtype == np.int64
+
+    def test_largest_int64_shot_count_is_drawn(self):
+        (kept,) = draw_counts([0.5], 2**63 - 1, np.random.default_rng(4))
+        assert 0 < kept < 2**63 - 1
 
 
 class TestNoise:
@@ -673,10 +643,9 @@ class TestStateVector:
             lambda: StateVector.from_amplitudes([np.nan, 1]),
             lambda: StateVector.from_amplitudes([np.inf, 1]),
             lambda: apply_circuit(Circuit(1).ry(np.nan, 0), StateVector.zero(1)),
-            lambda: evolve(np.eye(2), np.nan, StateVector.zero(1)),
         ],
         ids=["nan-state", "zero-amplitudes", "nan-amplitudes", "inf-amplitudes",
-             "ry-nan", "evolve-t-nan"],
+             "ry-nan"],
     )
     def test_nan_and_zero_norm_rejected(self, make):
         with pytest.raises(SimulationError):

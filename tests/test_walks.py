@@ -122,13 +122,11 @@ class TestHamiltonian:
         assert np.array_equal(dense, expected)
 
     def test_zero_coupling_makes_basis_states_stationary(self):
-        from quatro.qcore import evolve
-
         model = WalkModel(4, drift=-1.5, coupling=0.0)
         dense = build_walk_hamiltonian(model)
         psi = StateVector.basis(2, 2)
-        out = evolve(dense, 3.0, psi)
-        assert np.abs(out.amplitudes[2]) == pytest.approx(1.0)
+        out = evolution_operator(dense, 3.0) @ psi.amplitudes
+        assert np.abs(out[2]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n_states", [4, 8, 64])
     @pytest.mark.parametrize("drift", [-0.7, 0.0, 0.9])
@@ -195,10 +193,15 @@ class TestHamiltonian:
             lambda: calibrated_walk_model(4, 1.0, "x"),
             lambda: calibrated_walk_model(4, 1.0, None),
             lambda: boundary_detector("3"),
+            lambda: reflecting_walk(WalkModel(4, -0.5, 1.0), [1, 0, 0, 0], 2),
+            lambda: absorbing_walk(WalkModel(4, -0.5, 1.0), [1, 0, 0, 0], 2),
+            lambda: reflecting_walk((4, -0.5, 1.0), StateVector.basis(2, 1), 2),
+            lambda: absorbing_walk((4, -0.5, 1.0), StateVector.basis(2, 1), 2),
         ],
         ids=["float-states", "str-states", "str-drift", "none-drift", "calibrated-float-states",
              "calibrated-str-coupling", "calibrated-str-target", "calibrated-none-target",
-             "detector-str-qubits"],
+             "detector-str-qubits", "reflecting-list-state", "absorbing-list-state",
+             "reflecting-tuple-model", "absorbing-tuple-model"],
     )
     def test_non_numeric_parameters(self, make):
         with pytest.raises(WalkError):
@@ -425,7 +428,8 @@ class TestAbsorbing:
         assert peak(200_000) <= 1.5 * peak(2_000)
 
     @pytest.mark.parametrize("shots, seed",
-                             [(0, 0), (2.5, 0), (True, 0), (10, -1), (10, 1.5), (10, True)])
+                             [(0, 0), (2.5, 0), (True, 0), (10, -1), (10, 1.5), (10, True),
+                              (2**63, 0)])
     def test_zero_shots_rejected(self, shots, seed):
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
