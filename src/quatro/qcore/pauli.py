@@ -87,7 +87,7 @@ class PauliSum:
             p = PauliString(p) if isinstance(p, str) else p
             if not isinstance(p, PauliString) or p.n_qubits != n:
                 raise PauliError(f"term {p!r} is not a Pauli string on {n} qubits")
-            if not isinstance(c, numbers.Real):
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
                 raise PauliError(f"coefficient of {p} must be a real number, got {c!r}")
             c = float(c)
             if c != 0.0:

@@ -49,8 +49,17 @@ def _complex_array(value, name: str) -> np.ndarray:
         raise SimulationError(f"{name} is not numeric: {e}") from None
 
 
+def _is_unitary(m: np.ndarray) -> bool:
+    """Whether the square matrix ``m`` is finite and ``|M^dagger M - I|max <= _NORM_TOL``."""
+    return np.abs(m.conj().T @ m - np.eye(len(m))).max() <= _NORM_TOL  # NaN fails
+
+
 @dataclass
 class StateVector:
+    """``2**n_qubits`` amplitudes whose squared norm is within 1e-8 of 1;
+    they are stored divided by that norm's root, so every state is unit-norm
+    to rounding."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
@@ -64,6 +73,7 @@ class StateVector:
         norm = np.sum(np.abs(self.amplitudes) ** 2)
         if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
             raise SimulationError(f"state norm {norm} is not 1")
+        self.amplitudes = self.amplitudes / np.sqrt(norm)
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
@@ -136,13 +146,13 @@ class Gate:
             raise SimulationError(f"repeated qubits {self.qubits}")
         if self.kind == "U":
             m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
-            if k not in (1, 2) or m.shape != (2**k, 2**k) or not (
-                    np.abs(m.conj().T @ m - np.eye(2**k)).max() <= _NORM_TOL):
+            if k not in (1, 2) or m.shape != (2**k, 2**k) or not _is_unitary(m):
                 raise SimulationError(f"U needs a 1- or 2-qubit unitary matrix on {self.qubits}")
             return
         m = _KIND_MATRIX.get(self.kind) if isinstance(self.kind, str) else None
         if callable(m):
-            if not (isinstance(self.param, numbers.Real) and np.isfinite(self.param)):
+            if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
+                    or not np.isfinite(self.param)):
                 raise SimulationError(f"{self.kind} needs a finite angle, got {self.param!r}")
             m = m(self.param)
         if m is None or m.shape != (2**k, 2**k):
@@ -227,15 +237,27 @@ def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
 def _compile_step(step: Gate | np.ndarray | PostSelect, n: int):
     """A program step checked against the register and compiled: a cached
     gather for a ``Gate`` (a ``U`` keyed by its matrix bytes) or a
-    ``PostSelect``, the transpose of a dense step."""
+    ``PostSelect``, the transpose of a dense step, which must be unitary."""
     if isinstance(step, PostSelect):
         return _compile(1, (step.qubit,), None, n)
     if isinstance(step, Gate):
         param = step.param if step.matrix is None else np.asarray(step.matrix, complex).tobytes()
         return _compile(step.kind, tuple(step.qubits), param, n)
-    if np.shape(step) != (2**n, 2**n):
-        raise SimulationError(f"dense step of shape {np.shape(step)} on {n} qubits")
-    return np.asarray(step).T
+    m = _complex_array(step, "dense step")
+    if m.shape != (2**n, 2**n) or not _is_unitary(m):
+        raise SimulationError(f"dense step of shape {m.shape} on {n} qubits is not unitary")
+    return m.T
+
+
+def _compile_circuit(circuit: Circuit) -> list:
+    """A circuit's gates compiled for its register; its ``gates`` is public
+    and mutable, so an element that is not a ``Gate`` is rejected here."""
+    _check_type(circuit, Circuit, "circuit")
+    if not isinstance(circuit.gates, (list, tuple)):
+        raise SimulationError(f"circuit gates must be a list, got {circuit.gates!r}")
+    for g in circuit.gates:
+        _check_type(g, Gate, "circuit gate")
+    return [_compile_step(g, circuit.n_qubits) for g in circuit.gates]
 
 
 def _apply(block: np.ndarray, op) -> np.ndarray:
@@ -249,15 +271,15 @@ def _apply(block: np.ndarray, op) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Apply gates in order; unitary, so the norm is preserved."""
-    _check_type(circuit, Circuit, "circuit")
+    ops = _compile_circuit(circuit)
     _check_type(psi, StateVector, "psi")
     if circuit.n_qubits != psi.n_qubits:
         raise SimulationError(
             f"circuit has {circuit.n_qubits} qubits, state has {psi.n_qubits}"
         )
     amps = psi.amplitudes.copy()
-    for gate in circuit.gates:
-        amps = _apply(amps, _compile_step(gate, circuit.n_qubits))
+    for op in ops:
+        amps = _apply(amps, op)
     norm = np.sum(np.abs(amps) ** 2)
     if not abs(norm - 1.0) <= _NORM_TOL:
         raise SimulationError(f"norm drifted to {norm}")
@@ -281,7 +303,7 @@ def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
     """Dense e^{-iHt}; ``h`` must be a dense finite Hermitian matrix (pass a
     ``PauliSum`` as ``h.to_dense()``), ``t`` finite and real. Evolve a state
     as ``evolution_operator(h, t) @ psi.amplitudes``."""
-    if not (isinstance(t, numbers.Real) and np.isfinite(t)):
+    if isinstance(t, bool) or not (isinstance(t, numbers.Real) and np.isfinite(t)):
         raise SimulationError(f"evolution time must be a finite real, got {t!r}")
     evals, evecs = np.linalg.eigh(_hermitian(h))
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
@@ -306,13 +328,12 @@ def draw_counts(cells, shots: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
-    """Draw ``shots`` i.i.d. full-register bitstrings; deterministic per seed.
-    Normalised before ``draw_counts``: a ``StateVector``'s norm may be 1 +- 1e-8."""
+    """Draw ``shots`` i.i.d. full-register bitstrings from ``psi``'s
+    probabilities in one ``draw_counts``; deterministic per seed."""
     _check_type(psi, StateVector, "psi")
     _check_integer(shots, "shots", 1, _MAX_SHOTS)
     _check_integer(seed, "seed", 0)
-    probs = psi.probabilities()
-    counts = draw_counts(probs / probs.sum(), shots, np.random.default_rng(seed))
+    counts = draw_counts(psi.probabilities(), shots, np.random.default_rng(seed))
     out: Counter[str] = Counter()
     for i in np.flatnonzero(counts):
         out[psi.bitstring(i)] = int(counts[i])
@@ -335,7 +356,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for p in (self.p1, self.p2):
-            if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
+            if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
                 raise SimulationError(f"probability {p!r} is not a real in [0, 1]")
 
     def gate_probability(self, gate: Gate) -> float:
@@ -386,20 +407,27 @@ def run_trajectories(
     and measure the register at the end.
 
     A step is a ``Gate``, a dense unitary on the whole register (noiseless),
-    or a ``PostSelect`` (noiseless). Each step is compiled once, a gate or a
-    post-selection to a gather, before any runs; a step that does not fit
-    the register raises ``SimulationError``. With ``noise``, whether each
-    gate of each shot is followed by a depolarizing event is drawn up front;
-    an event injects a uniform Pauli on the gate's qubits.
+    or a ``PostSelect`` (noiseless). Each distinct step object is compiled
+    once, a gate or a post-selection to a gather, before any runs; a step
+    that does not fit the register, or a dense step that is not unitary,
+    raises ``SimulationError``. With ``noise``, whether each gate of each
+    shot is followed by a depolarizing event is drawn up front; an event
+    injects a uniform Pauli on the gate's qubits.
 
     Returns the counts of the ``2**n`` outcomes over the shots that passed
     every ``PostSelect``; the shots not counted were discarded.
     """
+    if not isinstance(program, (list, tuple)):
+        raise SimulationError(
+            f"program must be a list or tuple of steps (a circuit's is circuit.gates), "
+            f"got {type(program).__name__}")
     _check_type(psi0, StateVector, "psi0")
     _check_integer(shots, "shots", 1, _MAX_SHOTS)
     _check_type(rng, np.random.Generator, "rng")
     n = psi0.n_qubits
-    ops = [_compile_step(step, n) for step in program]
+    distinct = {id(step): step for step in program}  # a walk repeats its steps
+    compiled = {key: _compile_step(step, n) for key, step in distinct.items()}
+    ops = [compiled[id(step)] for step in program]
     events = np.zeros((0, 0), dtype=bool)
     if noise is not None:
         gates = [step for step in program if isinstance(step, Gate)]
@@ -434,24 +462,18 @@ def run_noisy(
 
     Per shot, after each gate, a uniformly random Pauli is injected on the
     gate's qubits with the gate-arity probability; ``noise=None`` means no
-    noise. Shots without any injection share the ideal final state; they
-    are drawn in one batch, which leaves the output distribution unchanged.
+    noise. Shots without any injection share the ideal final state and are
+    one ``draw_counts`` over its probabilities; each other shot is run and
+    drawn alone. Either keeps the output law of running every shot alone.
     """
-    _check_type(circuit, Circuit, "circuit")
+    ops = _compile_circuit(circuit)
     _check_integer(shots, "shots", 1, _MAX_SHOTS)
     _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n = circuit.n_qubits
-    ops = [_compile_step(gate, n) for gate in circuit.gates]
     events = _noise_events(circuit.gates, NoiseModel() if noise is None else noise, shots, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
-    out: Counter[str] = Counter()
-
-    n_clean = shots - len(events)
-    if n_clean:
-        clean_seed = int(rng.integers(2**63))
-        out.update(sample(clean, n_clean, clean_seed))
-
+    counts = draw_counts(clean.probabilities(), shots - len(events), rng)
     row = np.zeros(1, dtype=int)
     zero = StateVector.zero(n).amplitudes[None]  # read only: _apply returns a new block
     for shot_events in events:
@@ -460,8 +482,5 @@ def run_noisy(
             amps = _apply(amps, op)
             if event:
                 amps = _inject_pauli(amps, row, gate.qubits, n, rng)
-        probs = np.abs(amps[0]) ** 2
-        probs /= probs.sum()
-        idx = rng.choice(probs.size, p=probs)
-        out[format(idx, f"0{n}b")] += 1
-    return out
+        counts[rng.choice(2**n, p=np.abs(amps[0]) ** 2)] += 1
+    return Counter({format(i, f"0{n}b"): int(counts[i]) for i in np.flatnonzero(counts)})

@@ -54,7 +54,8 @@ class WalkModel:
         if n & (n - 1):
             raise WalkError(f"n_states must be a power of two, got {n!r}")
         reals = (self.drift, self.coupling, self.dt)
-        if not all(isinstance(v, numbers.Real) for v in reals) or not np.isfinite(reals).all():
+        if (not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in reals)
+                or not np.isfinite(reals).all()):
             raise WalkError("drift, coupling and dt must be finite reals")
         if not self.dt > 0:
             raise WalkError("dt must be positive")
@@ -104,7 +105,8 @@ def calibrated_walk_model(
         dense = build_walk_hamiltonian(WalkModel(n_states, mu, coupling, dt))
         return float(np.linalg.eigvalsh(dense)[0])
 
-    if not all(isinstance(v, numbers.Real) for v in (coupling, ground_energy)):
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in (coupling, ground_energy)):
         raise WalkError("coupling and ground_energy must be reals")
     lo, hi = -abs(ground_energy) - 2 * abs(coupling), 0.0
     top = lam_min(hi)

@@ -123,6 +123,7 @@ def test_non_finite_coefficient_rejected(make):
         (lambda: PauliSum(1, {"X": None}), "real number"),
         (lambda: PauliSum(1, {"X": "a"}), "real number"),
         (lambda: PauliSum(1, {"X": 1j}), "real number"),
+        (lambda: PauliSum(1, {"X": True}), "real number"),
         (lambda: PauliSum(1, {5: 1.0}), "not a Pauli string"),
         (lambda: PauliString(5), "nonempty str"),
         (lambda: pauli_decompose(np.zeros((0, 0))), "power of two >= 2"),
@@ -130,8 +131,8 @@ def test_non_finite_coefficient_rejected(make):
         (lambda: pauli_decompose("ab"), "not numeric"),
     ],
     ids=["negative-qubits", "float-qubits", "bool-qubits", "none-coefficient", "str-coefficient",
-         "complex-coefficient", "int-term", "int-string", "empty-matrix", "one-by-one",
-         "str-matrix"],
+         "complex-coefficient", "bool-coefficient", "int-term", "int-string", "empty-matrix",
+         "one-by-one", "str-matrix"],
 )
 def test_malformed_input_rejected(make, match):
     with pytest.raises(PauliError, match=match):

@@ -376,6 +376,9 @@ class TestInputChecks:
             lambda: run_trajectories([Gate("X", (0,))], [1, 0], 3, np.random.default_rng(0)),
             lambda: sample([1, 0], 3, 0),
             lambda: sample(StateVector.zero(1), 2**63, 0),
+            lambda: evolution_operator(np.eye(2), True),
+            lambda: NoiseModel(True, False),
+            lambda: Circuit(1).ry(True, 0),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
@@ -389,7 +392,8 @@ class TestInputChecks:
              "run-noisy-str-noise", "trajectories-str-noise", "trajectories-str-rng",
              "trajectories-int-rng", "apply-circuit-list-state", "apply-circuit-str-circuit",
              "run-noisy-str-circuit", "trajectories-list-state", "sample-list-state",
-             "sample-int64-overflow-shots"],
+             "sample-int64-overflow-shots", "evolution-time-bool", "noise-bool-probability",
+             "ry-bool-angle"],
     )
     def test_bad_argument_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -397,7 +401,8 @@ class TestInputChecks:
 
 
 class TestRegisterChecks:
-    """Programs are checked against the register before they run."""
+    """Programs are checked against the register, and for steps the engine
+    runs, before they run."""
 
     @pytest.mark.parametrize(
         "run",
@@ -409,12 +414,35 @@ class TestRegisterChecks:
             lambda rng: run_trajectories([PostSelect(2)], StateVector.zero(2), 10, rng),
             lambda rng: run_trajectories([PostSelect(-1)], StateVector.zero(2), 10, rng),
             lambda rng: run_trajectories([np.eye(2)], StateVector.zero(2), 10, rng),
+            lambda rng: run_trajectories([0.5 * np.eye(2)], StateVector.zero(1), 10, rng),
+            lambda rng: run_trajectories([np.full((2, 2), np.nan)], StateVector.zero(1), 10, rng),
         ],
         ids=["gate", "noisy-gate", "apply-circuit", "post-select", "post-select-negative",
-             "dense-step"],
+             "dense-step", "dense-non-unitary", "dense-nan"],
     )
     def test_out_of_register_rejected(self, run):
         with pytest.raises(SimulationError):
+            run(np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "run, match",
+        [
+            (lambda rng: run_trajectories(Circuit(1).x(0), StateVector.zero(1), 10, rng),
+             "circuit.gates"),
+            (lambda rng: run_trajectories(None, StateVector.zero(1), 10, rng), "circuit.gates"),
+            (lambda rng: apply_circuit(Circuit(1, [np.eye(2)]), StateVector.zero(1)),
+             "must be a Gate"),
+            (lambda rng: apply_circuit(Circuit(1, [PostSelect(0)]), StateVector.zero(1)),
+             "must be a Gate"),
+            (lambda rng: run_noisy(Circuit(1, [PostSelect(0)]), None, 10, 0), "must be a Gate"),
+            (lambda rng: run_noisy(Circuit(1, [np.eye(2)]), None, 10, 0), "must be a Gate"),
+            (lambda rng: apply_circuit(Circuit(1, None), StateVector.zero(1)), "must be a list"),
+        ],
+        ids=["circuit-program", "none-program", "apply-circuit-dense", "apply-circuit-post-select",
+             "run-noisy-post-select", "run-noisy-dense", "none-gates"],
+    )
+    def test_step_the_runner_cannot_run_rejected(self, run, match):
+        with pytest.raises(SimulationError, match=match):
             run(np.random.default_rng(0))
 
 
@@ -650,6 +678,26 @@ class TestStateVector:
     def test_nan_and_zero_norm_rejected(self, make):
         with pytest.raises(SimulationError):
             make()
+
+    @pytest.mark.parametrize("excess", [5e-9, -5e-9])
+    def test_off_norm_state_is_stored_unit_norm(self, excess):
+        exact = StateVector.from_amplitudes([1, 2j, -3, 4])
+        psi = StateVector(2, exact.amplitudes * np.sqrt(1 + excess))
+        assert abs(psi.probabilities().sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("excess", [5e-9, -5e-9])
+    def test_engine_runs_off_norm_state_as_normalised(self, excess):
+        # A row's squared norm is its post-selection probability, so the
+        # engine needs a unit-norm start; StateVector stores one.
+        exact = StateVector.from_amplitudes([1, 2, -3, 4])
+        off = StateVector(2, exact.amplitudes * np.sqrt(1 + excess))
+        program = [*Circuit(2).h(0).cnot(0, 1).gates, PostSelect(1)]
+
+        def run(psi):
+            return run_trajectories(program, psi, 10_000, np.random.default_rng(7),
+                                    NoiseModel(0.1, 0.1))
+
+        assert np.array_equal(run(off), run(exact))
 
     def test_from_amplitudes_normalizes(self):
         psi = StateVector.from_amplitudes([3, 4])

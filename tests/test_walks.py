@@ -197,11 +197,15 @@ class TestHamiltonian:
             lambda: absorbing_walk(WalkModel(4, -0.5, 1.0), [1, 0, 0, 0], 2),
             lambda: reflecting_walk((4, -0.5, 1.0), StateVector.basis(2, 1), 2),
             lambda: absorbing_walk((4, -0.5, 1.0), StateVector.basis(2, 1), 2),
+            lambda: WalkModel(4, True, 1.0),
+            lambda: WalkModel(4, 0.0, 1.0, dt=True),
+            lambda: calibrated_walk_model(4, True, -7.22),
         ],
         ids=["float-states", "str-states", "str-drift", "none-drift", "calibrated-float-states",
              "calibrated-str-coupling", "calibrated-str-target", "calibrated-none-target",
              "detector-str-qubits", "reflecting-list-state", "absorbing-list-state",
-             "reflecting-tuple-model", "absorbing-tuple-model"],
+             "reflecting-tuple-model", "absorbing-tuple-model", "bool-drift", "bool-dt",
+             "calibrated-bool-coupling"],
     )
     def test_non_numeric_parameters(self, make):
         with pytest.raises(WalkError):
@@ -434,6 +438,17 @@ class TestAbsorbing:
         model = WalkModel(4, -0.5, 1.0)
         with pytest.raises(WalkError):
             absorbing_walk(model, StateVector.basis(2, 1), 2, shots=shots, seed=seed)
+
+    @pytest.mark.parametrize("excess", [5e-9, -5e-9])
+    @pytest.mark.parametrize("shots, noise",
+                             [(None, None), (500, None), (500, NoiseModel(0.05, 0.05))],
+                             ids=["exact", "sampled", "noisy"])
+    def test_off_norm_start_is_accepted(self, shots, noise, excess):
+        # Any valid StateVector starts a walk; survival never passes 1.
+        exact = StateVector.from_amplitudes([1, 2, 3, 4])
+        psi = StateVector(2, exact.amplitudes * np.sqrt(1 + excess))
+        res = absorbing_walk(WalkModel(4, -0.5, 1.0), psi, 3, shots=shots, seed=1, noise=noise)
+        assert max(res.survival) <= 1 + 1e-12
 
     @pytest.mark.parametrize("noise", ["x", 0.1, (0.1, 0.1)])
     def test_non_noise_model_rejected(self, noise):
