@@ -12,7 +12,6 @@ from .sim import (
     evolution_operator,
     run_noisy,
     run_trajectories,
-    sample,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "evolution_operator",
     "run_noisy",
     "run_trajectories",
-    "sample",
 ]

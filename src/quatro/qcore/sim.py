@@ -54,26 +54,28 @@ def _is_unitary(m: np.ndarray) -> bool:
     return np.abs(m.conj().T @ m - np.eye(len(m))).max() <= _NORM_TOL  # NaN fails
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
     """``2**n_qubits`` amplitudes whose squared norm is within 1e-8 of 1;
     they are stored divided by that norm's root, so every state is unit-norm
-    to rounding."""
+    to rounding. A state is immutable: its fields cannot be reassigned and
+    its amplitudes are a read-only array, so the checks made when it is
+    built hold for as long as it lives."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         _check_integer(self.n_qubits, "qubit count", 1)
-        self.amplitudes = _complex_array(self.amplitudes, "amplitudes")
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise SimulationError(
-                f"expected {2**self.n_qubits} amplitudes, got {self.amplitudes.shape}"
-            )
-        norm = np.sum(np.abs(self.amplitudes) ** 2)
+        amps = _complex_array(self.amplitudes, "amplitudes")
+        if amps.shape != (2**self.n_qubits,):
+            raise SimulationError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
+        norm = np.sum(np.abs(amps) ** 2)
         if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
             raise SimulationError(f"state norm {norm} is not 1")
-        self.amplitudes = self.amplitudes / np.sqrt(norm)
+        amps = amps / np.sqrt(norm)
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
@@ -101,9 +103,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def bitstring(self, index: int) -> str:
-        return format(index, f"0{self.n_qubits}b")
-
 
 # --- gates --------------------------------------------------------------
 
@@ -128,7 +127,9 @@ class Gate:
 
     Checked when built: a known kind on distinct non-negative qubits of its
     arity, a finite ``param`` for RY, RZ and CRX, and a unitary ``matrix``
-    for ``U``; anything else raises ``SimulationError``.
+    for ``U`` and no other kind; anything else raises ``SimulationError``. A ``U`` keeps its
+    own read-only complex copy of the matrix, so later writes to the
+    caller's array do not reach the gate.
     """
 
     kind: str
@@ -148,7 +149,12 @@ class Gate:
             m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
             if k not in (1, 2) or m.shape != (2**k, 2**k) or not _is_unitary(m):
                 raise SimulationError(f"U needs a 1- or 2-qubit unitary matrix on {self.qubits}")
+            m = m.copy()
+            m.flags.writeable = False
+            object.__setattr__(self, "matrix", m)
             return
+        if self.matrix is not None:
+            raise SimulationError(f"only a U gate takes a matrix, not {self.kind!r}")
         m = _KIND_MATRIX.get(self.kind) if isinstance(self.kind, str) else None
         if callable(m):
             if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
@@ -241,7 +247,7 @@ def _compile_step(step: Gate | np.ndarray | PostSelect, n: int):
     if isinstance(step, PostSelect):
         return _compile(1, (step.qubit,), None, n)
     if isinstance(step, Gate):
-        param = step.param if step.matrix is None else np.asarray(step.matrix, complex).tobytes()
+        param = step.param if step.matrix is None else step.matrix.tobytes()
         return _compile(step.kind, tuple(step.qubits), param, n)
     m = _complex_array(step, "dense step")
     if m.shape != (2**n, 2**n) or not _is_unitary(m):
@@ -277,7 +283,7 @@ def apply_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
         raise SimulationError(
             f"circuit has {circuit.n_qubits} qubits, state has {psi.n_qubits}"
         )
-    amps = psi.amplitudes.copy()
+    amps = psi.amplitudes
     for op in ops:
         amps = _apply(amps, op)
     norm = np.sum(np.abs(amps) ** 2)
@@ -325,19 +331,6 @@ def draw_counts(cells, shots: int, rng: np.random.Generator) -> np.ndarray:
         raise SimulationError(f"cells are not probabilities summing to at most 1: {cells}")
     cells = np.append(cells, max(1.0 - cells.sum(), 0.0))
     return rng.multinomial(shots, cells / cells.sum())[:-1].astype(np.int64, copy=False)
-
-
-def sample(psi: StateVector, shots: int, seed: int) -> Counter[str]:
-    """Draw ``shots`` i.i.d. full-register bitstrings from ``psi``'s
-    probabilities in one ``draw_counts``; deterministic per seed."""
-    _check_type(psi, StateVector, "psi")
-    _check_integer(shots, "shots", 1, _MAX_SHOTS)
-    _check_integer(seed, "seed", 0)
-    counts = draw_counts(psi.probabilities(), shots, np.random.default_rng(seed))
-    out: Counter[str] = Counter()
-    for i in np.flatnonzero(counts):
-        out[psi.bitstring(i)] = int(counts[i])
-    return out
 
 
 # --- depolarizing noise ---------------------------------------------------
@@ -475,7 +468,7 @@ def run_noisy(
     clean = apply_circuit(circuit, StateVector.zero(n))
     counts = draw_counts(clean.probabilities(), shots - len(events), rng)
     row = np.zeros(1, dtype=int)
-    zero = StateVector.zero(n).amplitudes[None]  # read only: _apply returns a new block
+    zero = StateVector.zero(n).amplitudes[None]
     for shot_events in events:
         amps = zero
         for gate, op, event in zip(circuit.gates, ops, shot_events):

@@ -73,14 +73,14 @@ class WalkResult:
     """Per-timestep state probabilities (index 0 = initial state).
 
     For absorbing walks the tables are unnormalized: their sums give the
-    post-selection survival probability, which is non-increasing.
+    post-selection survival probability, which is non-increasing. A sampled
+    walk also gives each timestep's accepted shots; ``accepted_shots[0]`` is
+    the shot count of every timestep.
     """
 
-    kind: str
     tables: list[np.ndarray]
     survival: list[float] | None = None
     accepted_shots: list[int] | None = None
-    shots: int | None = None
 
 
 def build_walk_hamiltonian(model: WalkModel) -> np.ndarray:
@@ -139,12 +139,12 @@ def _walk_operator(model: WalkModel, psi0: StateVector, steps: int,
 def reflecting_walk(model: WalkModel, psi0: StateVector, steps: int) -> WalkResult:
     """Probability tables |U^k psi0|^2 for k = 0..steps, U = e^{-iH dt}."""
     u = _walk_operator(model, psi0, steps, 0)
-    amps = psi0.amplitudes.copy()
+    amps = psi0.amplitudes
     tables = [np.abs(amps) ** 2]
     for _ in range(steps):
         amps = u @ amps
         tables.append(np.abs(amps) ** 2)
-    return WalkResult(kind="reflecting", tables=tables)
+    return WalkResult(tables=tables)
 
 
 # --- boundary detector ----------------------------------------------------
@@ -202,7 +202,7 @@ def boundary_detector(n_qubits: int) -> Circuit:
 # --- absorbing walks -------------------------------------------------------
 
 def _exact_absorbing(u: np.ndarray, psi0: StateVector, steps: int) -> WalkResult:
-    survivor = psi0.amplitudes.copy()
+    survivor = psi0.amplitudes
     tables = [np.abs(survivor) ** 2]
     survival = [1.0]
     for _ in range(steps):
@@ -210,10 +210,10 @@ def _exact_absorbing(u: np.ndarray, psi0: StateVector, steps: int) -> WalkResult
         table = np.abs(evolved) ** 2
         tables.append(table)
         survival.append(float(table.sum()))
-        survivor = evolved.copy()
+        survivor = evolved
         survivor[0] = 0.0        # project out both boundaries
         survivor[-1] = 0.0
-    return WalkResult(kind="absorbing-exact", tables=tables, survival=survival)
+    return WalkResult(tables=tables, survival=survival)
 
 
 def _sampled_absorbing(
@@ -255,11 +255,9 @@ def _sampled_absorbing(
         tables.append(counts / shots)
         accepted.append(int(counts.sum()))
     return WalkResult(
-        kind="absorbing-sampled",
         tables=tables,
         survival=[a / shots for a in accepted],
         accepted_shots=accepted,
-        shots=shots,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -21,7 +22,6 @@ from quatro.qcore import (
     evolution_operator,
     run_noisy,
     run_trajectories,
-    sample,
 )
 from .test_pauli import random_hermitian
 from .test_walks import depolarize, gate_unitary
@@ -243,6 +243,18 @@ class TestApplyCircuit:
         with pytest.raises(SimulationError):
             Circuit(2).unitary(matrix, *range(int(np.log2(len(matrix)))))
 
+    def test_unitary_keeps_its_own_matrix(self):
+        # A write to the caller's array after the unitarity check must not
+        # reach the gate: a non-unitary step would lose mass that the engine
+        # reads as discarded shots.
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+        c = Circuit(1).unitary(m, 0)
+        m[0, 0] = 0.5
+        assert c.gates[0].matrix.tolist() == [[0, 1], [1, 0]]
+        assert np.allclose(apply_circuit(c, StateVector.zero(1)).amplitudes, [0, 1])
+        counts = run_trajectories(c.gates, StateVector.zero(1), 1000, np.random.default_rng(1))
+        assert counts.tolist() == [0, 1000]
+
     def test_distinct_angles_retain_bounded_memory(self):
         # Compiled gates are cached; thousands of distinct angles must not all
         # stay alive (a bounded cache retains about 0.4 MB, an unbounded one 5 MB).
@@ -284,11 +296,13 @@ class TestInputChecks:
             lambda: Gate("U", (0,), matrix="ab"),
             lambda: Circuit(1).unitary("ab", 0),
             lambda: Gate("X", 0),
+            lambda: Gate("X", (0,), matrix=[[1, 0], [0, 1]]),
+            lambda: Gate("RY", (0,), 0.5, matrix="ab"),
         ],
         ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
              "repeated-qubit", "negative-qubit", "float-qubit", "bool-qubit", "u-str-matrix",
-             "unitary-str-matrix", "int-qubits"],
+             "unitary-str-matrix", "int-qubits", "x-list-matrix", "ry-str-matrix"],
     )
     def test_malformed_gate_rejected(self, gate):
         with pytest.raises(SimulationError):
@@ -347,7 +361,6 @@ class TestInputChecks:
             lambda: evolution_operator(np.eye(2), "0.5"),
             lambda: PostSelect(0.5),
             lambda: PostSelect(-1),
-            lambda: sample(StateVector.zero(1), 10, -1),
             lambda: run_noisy(Circuit(1).x(0), NoiseModel(0.1), 10, -1),
             lambda: run_trajectories([], StateVector.zero(1), -1, np.random.default_rng(0)),
             lambda: run_trajectories([], StateVector.zero(1), 0, np.random.default_rng(0)),
@@ -364,7 +377,7 @@ class TestInputChecks:
             lambda: StateVector.basis(1, True),
             lambda: Circuit(True),
             lambda: PostSelect(False),
-            lambda: sample(StateVector.zero(1), True, 0),
+            lambda: run_noisy(Circuit(1).x(0), None, True, 0),
             lambda: run_noisy(Circuit(1).x(0), "x", 10, 0),
             lambda: run_trajectories(Circuit(1).x(0).gates, StateVector.zero(1), 10,
                                      np.random.default_rng(0), "x"),
@@ -374,25 +387,23 @@ class TestInputChecks:
             lambda: apply_circuit("c", StateVector.zero(1)),
             lambda: run_noisy("c", None, 3, 0),
             lambda: run_trajectories([Gate("X", (0,))], [1, 0], 3, np.random.default_rng(0)),
-            lambda: sample([1, 0], 3, 0),
-            lambda: sample(StateVector.zero(1), 2**63, 0),
+            lambda: run_noisy(Circuit(1).x(0), None, 2**63, 0),
             lambda: evolution_operator(np.eye(2), True),
             lambda: NoiseModel(True, False),
             lambda: Circuit(1).ry(True, 0),
         ],
         ids=["basis-negative", "basis-past-register", "basis-float", "evolution-time-nan",
              "evolution-time-inf", "evolution-time-complex", "evolve-time-str",
-             "post-select-float", "post-select-negative", "sample-negative-seed",
-             "run-noisy-negative-seed", "trajectories-negative-shots",
-             "trajectories-zero-shots", "trajectories-float-shots", "zero-negative-qubits",
-             "zero-float-qubits", "basis-negative-qubits", "ry-none-angle", "ry-str-angle",
-             "circuit-float-qubits", "circuit-zero-qubits",
+             "post-select-float", "post-select-negative", "run-noisy-negative-seed",
+             "trajectories-negative-shots", "trajectories-zero-shots", "trajectories-float-shots",
+             "zero-negative-qubits", "zero-float-qubits", "basis-negative-qubits", "ry-none-angle",
+             "ry-str-angle", "circuit-float-qubits", "circuit-zero-qubits",
              "noise-str-probability", "noise-none-probability", "basis-bool-index",
-             "circuit-bool-qubits", "post-select-bool", "sample-bool-shots",
+             "circuit-bool-qubits", "post-select-bool", "run-noisy-bool-shots",
              "run-noisy-str-noise", "trajectories-str-noise", "trajectories-str-rng",
              "trajectories-int-rng", "apply-circuit-list-state", "apply-circuit-str-circuit",
-             "run-noisy-str-circuit", "trajectories-list-state", "sample-list-state",
-             "sample-int64-overflow-shots", "evolution-time-bool", "noise-bool-probability",
+             "run-noisy-str-circuit", "trajectories-list-state",
+             "run-noisy-int64-overflow-shots", "evolution-time-bool", "noise-bool-probability",
              "ry-bool-angle"],
     )
     def test_bad_argument_rejected(self, make):
@@ -502,28 +513,11 @@ class TestCircuitProperties:
 
 
 class TestSample:
-    def test_deterministic_state_gives_constant_samples(self):
-        psi = StateVector.basis(3, 0b101)
-        counts = sample(psi, 100, 0)
-        assert counts == {"101": 100}
-
-    def test_uniform_within_five_sigma(self):
-        psi = apply_circuit(Circuit(1).h(0), StateVector.zero(1))
-        shots = 100_000
-        counts = sample(psi, shots, 12)
-        sigma = np.sqrt(shots * 0.25)
-        assert abs(counts["0"] - shots / 2) < 5 * sigma
-
-    def test_same_seed_identical(self):
-        psi = apply_circuit(Circuit(2).h(0).h(1), StateVector.zero(2))
-        assert sample(psi, 5000, 99) == sample(psi, 5000, 99)
-
     @pytest.mark.parametrize("shots", [0, 2.5])
     @pytest.mark.parametrize(
         "run",
-        [lambda shots: sample(StateVector.zero(1), shots, 0),
-         lambda shots: run_noisy(Circuit(1).x(0), NoiseModel(0.1), shots, 0)],
-        ids=["sample", "run_noisy"],
+        [lambda shots: run_noisy(Circuit(1).x(0), NoiseModel(0.1), shots, 0)],
+        ids=["run_noisy"],
     )
     def test_zero_shots_rejected(self, run, shots):
         with pytest.raises(SimulationError):
@@ -580,7 +574,9 @@ class TestNoise:
         c = Circuit(2).h(0).cnot(0, 1)
         shots = 20_000
         noisy = run_noisy(c, NoiseModel(0.0, 0.0), shots, 21)
-        ideal = sample(apply_circuit(c, StateVector.zero(2)), shots, 33)
+        probs = apply_circuit(c, StateVector.zero(2)).probabilities()
+        ideal = {format(i, "02b"): int(k)
+                 for i, k in enumerate(draw_counts(probs, shots, np.random.default_rng(33)))}
         for key in set(noisy) | set(ideal):
             assert abs(noisy.get(key, 0) - ideal.get(key, 0)) < 5 * np.sqrt(shots * 0.25)
 
@@ -698,6 +694,19 @@ class TestStateVector:
                                     NoiseModel(0.1, 0.1))
 
         assert np.array_equal(run(off), run(exact))
+
+    @pytest.mark.parametrize("field, value", [("amplitudes", np.array([0.5, 0.5])),
+                                              ("n_qubits", 2)], ids=["amplitudes", "n_qubits"])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        psi = StateVector.zero(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(psi, field, value)
+
+    def test_amplitudes_are_read_only(self):
+        psi = StateVector.zero(1)
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 2
+        assert psi.amplitudes.tolist() == [1, 0]
 
     def test_from_amplitudes_normalizes(self):
         psi = StateVector.from_amplitudes([3, 4])
