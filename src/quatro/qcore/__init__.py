@@ -1,5 +1,5 @@
-"""Statevector simulation substrate: Pauli algebra, circuits, evolution, noise."""
-from .pauli import PauliError, PauliString, PauliSum, pauli_decompose
+"""Statevector simulation substrate: Pauli decomposition, circuits, evolution, noise."""
+from .pauli import PauliError, pauli_decompose
 from .sim import (
     Circuit,
     Gate,
@@ -16,8 +16,6 @@ from .sim import (
 
 __all__ = [
     "PauliError",
-    "PauliString",
-    "PauliSum",
     "pauli_decompose",
     "Circuit",
     "Gate",

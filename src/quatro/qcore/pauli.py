@@ -1,27 +1,16 @@
-"""Pauli strings and the Pauli form of a Hermitian matrix.
+"""The Pauli form of a Hermitian matrix.
 
-Models hand their Hamiltonians around as dense matrices; the Pauli form
-(a ``PauliSum``) is derived output of ``pauli_decompose``, read through its
-``terms`` or turned back with ``to_dense``. It has no serialisation and no
-arithmetic. Qubit 0 is the leftmost label in the string and the most
-significant bit of a basis index.
+Models hand their Hamiltonians around as dense matrices; the Pauli form is
+derived output of ``pauli_decompose``: a plain ``{label: coefficient}`` dict.
+Qubit 0 is the leftmost character of a label and the most significant bit
+of a basis index.
 """
 from __future__ import annotations
-
-import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 _TOL = 1e-10  # Hermiticity slack, and the size below which a coefficient is dropped
 _MAX_QUBITS = 10  # 4^n coefficients: 10 qubits is about a million
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _LABELS = "IXYZ"
 
@@ -39,76 +28,18 @@ _BLOCK_TO_PAULI = 0.5 * np.array(
 
 
 class PauliError(ValueError):
-    """Raised on malformed Pauli strings or non-decomposable matrices."""
+    """Raised on a matrix that has no Pauli form: not numeric, not square
+    with a power-of-two dimension, too large, non-finite or not Hermitian."""
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis, e.g. ``"IXZ"`` (qubit 0 first)."""
+def pauli_decompose(h: np.ndarray) -> dict[str, float]:
+    """Decompose a dense Hermitian matrix into ``{label: coefficient}``.
 
-    ops: str
-
-    def __post_init__(self):
-        ops = self.ops
-        if not isinstance(ops, str) or not ops or any(c not in _LABELS for c in ops):
-            raise PauliError(f"a Pauli string is a nonempty str over {_LABELS}, got {ops!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.ops)
-
-    def matrix(self) -> np.ndarray:
-        m = _PAULI_1Q[self.ops[0]].copy()  # callers may write to it
-        for c in self.ops[1:]:
-            m = np.kron(m, _PAULI_1Q[c])
-        return m
-
-    def __str__(self) -> str:
-        return self.ops
-
-
-@dataclass
-class PauliSum:
-    """Real-weighted sum of Pauli strings on a fixed register.
-
-    Coefficients are real (the operator is Hermitian by construction);
-    zero-coefficient terms are dropped eagerly.
-    """
-
-    n_qubits: int
-    terms: dict[PauliString, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.n_qubits
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise PauliError(f"qubit count must be an integer >= 1, got {n!r}")
-        clean: dict[PauliString, float] = {}
-        for p, c in self.terms.items():
-            p = PauliString(p) if isinstance(p, str) else p
-            if not isinstance(p, PauliString) or p.n_qubits != n:
-                raise PauliError(f"term {p!r} is not a Pauli string on {n} qubits")
-            if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                raise PauliError(f"coefficient of {p} must be a real number, got {c!r}")
-            c = float(c)
-            if c != 0.0:
-                clean[p] = clean.get(p, 0.0) + c
-        if not np.isfinite(list(clean.values())).all():  # also a sum that overflowed
-            raise PauliError(f"non-finite coefficient in {clean}")
-        self.terms = {p: c for p, c in clean.items() if c != 0.0}
-
-    def to_dense(self) -> np.ndarray:
-        h = np.zeros((2**self.n_qubits,) * 2, dtype=complex)
-        for p, c in self.terms.items():
-            h += c * p.matrix()
-        return h
-
-
-def pauli_decompose(h: np.ndarray) -> PauliSum:
-    """Decompose a dense Hermitian matrix into a PauliSum.
-
-    The coefficient of string P is trace(P . h) / 2^n, computed for all 4^n
-    strings at once by applying the single-qubit block transform along each
-    tensor axis (O(n 4^n) instead of O(8^n) per-string traces).
+    A label such as ``"IXZ"`` names a Pauli string P, qubit 0 first, and its
+    coefficient is the real trace(P . h) / 2^n; coefficients with magnitude
+    at most 1e-10 are left out. All 4^n are computed at once by applying the
+    single-qubit block transform along each tensor axis (O(n 4^n) instead of
+    O(8^n) per-string traces).
     """
     try:
         h = np.asarray(h, dtype=complex)
@@ -135,11 +66,11 @@ def pauli_decompose(h: np.ndarray) -> PauliSum:
         t = np.tensordot(_BLOCK_TO_PAULI, t, axes=([1], [axis]))
         t = np.moveaxis(t, 0, axis)
 
-    terms: dict[PauliString, float] = {}
+    terms: dict[str, float] = {}
     for flat_idx in np.flatnonzero(np.abs(t) > _TOL):
         idx = np.unravel_index(flat_idx, t.shape)
         coeff = t[idx]
         if abs(coeff.imag) > _TOL:
             raise PauliError("Hermitian input produced a complex coefficient")
-        terms[PauliString("".join(_LABELS[i] for i in idx))] = float(coeff.real)
-    return PauliSum(n, terms)
+        terms["".join(_LABELS[i] for i in idx)] = float(coeff.real)
+    return terms

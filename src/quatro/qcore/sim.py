@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString
-
 _NORM_TOL = 1e-10
 _MAX_SHOTS = 2**63  # exclusive: numpy's multinomial takes an int64 count
 
-_PAULI_1Q = {c: PauliString(c).matrix() for c in "IXYZ"}
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 
 class SimulationError(ValueError):
@@ -54,13 +57,13 @@ def _is_unitary(m: np.ndarray) -> bool:
     return np.abs(m.conj().T @ m - np.eye(len(m))).max() <= _NORM_TOL  # NaN fails
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """``2**n_qubits`` amplitudes whose squared norm is within 1e-8 of 1;
     they are stored divided by that norm's root, so every state is unit-norm
     to rounding. A state is immutable: its fields cannot be reassigned and
     its amplitudes are a read-only array, so the checks made when it is
-    built hold for as long as it lives."""
+    built hold for as long as it lives. States compare and hash by identity."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -121,15 +124,16 @@ _KIND_MATRIX = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """One circuit element. ``qubits`` lists controls first, target last.
 
     Checked when built: a known kind on distinct non-negative qubits of its
     arity, a finite ``param`` for RY, RZ and CRX, and a unitary ``matrix``
-    for ``U`` and no other kind; anything else raises ``SimulationError``. A ``U`` keeps its
-    own read-only complex copy of the matrix, so later writes to the
-    caller's array do not reach the gate.
+    for ``U`` and no other kind; anything else raises ``SimulationError``.
+    A gate keeps its own tuple of qubits, and a ``U`` its own read-only
+    complex copy of the matrix, so later writes to the caller's list or
+    array do not reach the gate. Gates compare and hash by identity.
     """
 
     kind: str
@@ -145,6 +149,7 @@ class Gate:
             _check_integer(q, "gate qubit", 0)
         if len(set(self.qubits)) != k:
             raise SimulationError(f"repeated qubits {self.qubits}")
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.kind == "U":
             m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
             if k not in (1, 2) or m.shape != (2**k, 2**k) or not _is_unitary(m):
@@ -248,7 +253,7 @@ def _compile_step(step: Gate | np.ndarray | PostSelect, n: int):
         return _compile(1, (step.qubit,), None, n)
     if isinstance(step, Gate):
         param = step.param if step.matrix is None else step.matrix.tobytes()
-        return _compile(step.kind, tuple(step.qubits), param, n)
+        return _compile(step.kind, step.qubits, param, n)
     m = _complex_array(step, "dense step")
     if m.shape != (2**n, 2**n) or not _is_unitary(m):
         raise SimulationError(f"dense step of shape {m.shape} on {n} qubits is not unitary")
@@ -306,9 +311,9 @@ def _hermitian(h) -> np.ndarray:
 
 
 def evolution_operator(h: np.ndarray, t: float) -> np.ndarray:
-    """Dense e^{-iHt}; ``h`` must be a dense finite Hermitian matrix (pass a
-    ``PauliSum`` as ``h.to_dense()``), ``t`` finite and real. Evolve a state
-    as ``evolution_operator(h, t) @ psi.amplitudes``."""
+    """Dense e^{-iHt}; ``h`` must be a dense finite Hermitian matrix and
+    ``t`` finite and real. Evolve a state as
+    ``evolution_operator(h, t) @ psi.amplitudes``."""
     if isinstance(t, bool) or not (isinstance(t, numbers.Real) and np.isfinite(t)):
         raise SimulationError(f"evolution time must be a finite real, got {t!r}")
     evals, evecs = np.linalg.eigh(_hermitian(h))

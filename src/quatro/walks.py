@@ -108,6 +108,8 @@ def calibrated_walk_model(
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                for v in (coupling, ground_energy)):
         raise WalkError("coupling and ground_energy must be reals")
+    # A numpy scalar would run the bisection in its own dtype.
+    coupling, ground_energy = float(coupling), float(ground_energy)
     lo, hi = -abs(ground_energy) - 2 * abs(coupling), 0.0
     top = lam_min(hi)
     if not lam_min(lo) <= ground_energy <= top:

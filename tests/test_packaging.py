@@ -72,25 +72,38 @@ def test_qcore_all_lists_exactly_its_public_imports():
     assert sorted(qcore.__all__) == sorted(set(imported))
 
 
+def names_used(source: str) -> set[str]:
+    """Names a module's source uses: as a name, an attribute, an imported
+    name or an exact string (``getattr(qcore, "...")``) that is not a dict
+    key. A key such as ``perfbench.layers.TRACED``'s names what the tracer
+    wraps, not what anything calls."""
+    tree = ast.parse(source)
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys:
+            used.add(node.value)
+    return used
+
+
+def test_a_dict_key_is_not_a_use():
+    source = 'TRACED = {"wrapped": "m"}\nKERNELS = {"metric": ("called", ())}\n'
+    assert names_used(source) >= {"called", "m"}
+    assert not names_used(source) & {"wrapped", "metric"}
+
+
 def test_every_qcore_name_has_a_caller():
     """A name in ``qcore.__all__`` is used outside ``qcore/__init__.py``, by
-    the package or the benchmark: as a name, an attribute, an imported
-    name or an exact string (``getattr(qcore, "...")``)."""
+    the package or the benchmark (see ``names_used``)."""
     import quatro.qcore as qcore
 
     init = ROOT / "src" / "quatro" / "qcore" / "__init__.py"
     paths = [*(ROOT / "src" / "quatro").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    used = set()
-    for path in paths:
-        if path == init:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+    used = set().union(*(names_used(path.read_text()) for path in paths if path != init))
     assert sorted(set(qcore.__all__) - used) == []

@@ -1,10 +1,32 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quatro.qcore import PauliError, PauliString, PauliSum, pauli_decompose
+from quatro.qcore import PauliError, pauli_decompose
+
+PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_matrix(label: str) -> np.ndarray:
+    """Oracle: the Kronecker product of a label's Paulis, qubit 0 leftmost."""
+    return functools.reduce(np.kron, [PAULIS[c] for c in label])
+
+
+def pauli_dense(terms: dict[str, float], n_qubits: int) -> np.ndarray:
+    """Oracle: the dense matrix of ``{label: coefficient}`` on ``n_qubits``."""
+    h = np.zeros((2**n_qubits,) * 2, dtype=complex)
+    for label, c in terms.items():
+        h += c * pauli_matrix(label)
+    return h
 
 
 def random_hermitian(n_qubits: int, seed: int) -> np.ndarray:
@@ -15,19 +37,21 @@ def random_hermitian(n_qubits: int, seed: int) -> np.ndarray:
 
 
 def test_identity_decomposes_to_single_identity_term():
-    ps = pauli_decompose(np.eye(2))
-    assert ps.terms == {PauliString("I"): 1.0}
+    terms = pauli_decompose(np.eye(2))
+    assert terms == {"I": 1.0}
+    assert type(terms) is dict and type(terms["I"]) is float
 
 
 def test_pauli_z_by_definition():
-    ps = pauli_decompose(np.diag([1.0, -1.0]))
-    assert ps.terms == {PauliString("Z"): 1.0}
+    assert pauli_decompose(np.diag([1.0, -1.0])) == {"Z": 1.0}
 
 
-def test_matrix_returns_a_fresh_array():
-    m = PauliString("X").matrix()
-    m[0, 0] = 7.0
-    assert np.array_equal(PauliString("X").matrix(), [[0, 1], [1, 0]])
+def test_coefficients_below_the_tolerance_are_left_out():
+    # The tolerance is 1e-10: X's coefficient is below it, Y's above.
+    h = np.diag([1.0, -1.0]) + 5e-11 * PAULIS["X"] + 3e-10 * PAULIS["Y"]
+    terms = pauli_decompose(h)
+    assert list(terms) == ["Y", "Z"]
+    assert terms["Y"] == pytest.approx(3e-10, abs=1e-16)
 
 
 def test_walk_hamiltonian_coefficients_match_trace_oracle():
@@ -36,20 +60,20 @@ def test_walk_hamiltonian_coefficients_match_trace_oracle():
 
     model = WalkModel(n_states=4, drift=-2.0, coupling=1.0)
     dense = build_walk_hamiltonian(model)
-    ps = pauli_decompose(dense)
+    terms = pauli_decompose(dense)
     for a in "IXYZ":
         for b in "IXYZ":
-            p = PauliString(a + b)
-            expected = np.trace(p.matrix() @ dense).real / 4.0
-            assert ps.terms.get(p, 0.0) == pytest.approx(expected, abs=1e-12)
+            expected = np.trace(pauli_matrix(a + b) @ dense).real / 4.0
+            assert terms.get(a + b, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_roundtrip_random_hermitian(n_qubits, seed):
     h = random_hermitian(n_qubits, seed)
-    ps = pauli_decompose(h)
-    assert np.max(np.abs(ps.to_dense() - h)) < 1e-10
+    terms = pauli_decompose(h)
+    assert all(len(label) == n_qubits for label in terms)
+    assert np.max(np.abs(pauli_dense(terms, n_qubits) - h)) < 1e-10
 
 
 def test_rejects_non_hermitian():
@@ -75,12 +99,6 @@ def test_rejects_oversized_register():
         pauli_decompose(np.eye(2**11))
 
 
-def test_zero_coefficients_are_dropped():
-    ps = PauliSum(1, {PauliString("X"): 0.0, PauliString("Z"): 2.0})
-    assert PauliString("X") not in ps.terms
-    assert ps.terms[PauliString("Z")] == 2.0
-
-
 @st.composite
 def hermitian_matrices(draw):
     dim = 2 ** draw(st.integers(1, 4))
@@ -94,45 +112,18 @@ def hermitian_matrices(draw):
 def test_decomposition_round_trips(h):
     # Coefficients below the 1e-10 tolerance are dropped: at most 4^n of
     # them, each moving an entry by less than 1e-10.
-    back = pauli_decompose(h).to_dense()
+    back = pauli_dense(pauli_decompose(h), len(h).bit_length() - 1)
     assert np.max(np.abs(back - h)) <= h.size * 1e-10 + 1e-12
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: PauliSum(1, {"X": np.nan}),
-        lambda: PauliSum(1, {"X": np.inf}),
-        lambda: PauliSum(1, {"X": -np.inf}),
-        # "X" and PauliString("X") name one term, so the two merge and overflow.
-        lambda: PauliSum(1, {"X": 1e308, PauliString("X"): 1e308}),
-    ],
-    ids=["nan", "inf", "-inf", "overflowing-sum"],
-)
-def test_non_finite_coefficient_rejected(make):
-    with pytest.raises(PauliError):
-        make()
 
 
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda: PauliSum(-1, {}), "qubit count"),
-        (lambda: PauliSum(2.5, {}), "qubit count"),
-        (lambda: PauliSum(True, {}), "qubit count"),
-        (lambda: PauliSum(1, {"X": None}), "real number"),
-        (lambda: PauliSum(1, {"X": "a"}), "real number"),
-        (lambda: PauliSum(1, {"X": 1j}), "real number"),
-        (lambda: PauliSum(1, {"X": True}), "real number"),
-        (lambda: PauliSum(1, {5: 1.0}), "not a Pauli string"),
-        (lambda: PauliString(5), "nonempty str"),
         (lambda: pauli_decompose(np.zeros((0, 0))), "power of two >= 2"),
         (lambda: pauli_decompose(np.eye(1)), "power of two >= 2"),
         (lambda: pauli_decompose("ab"), "not numeric"),
     ],
-    ids=["negative-qubits", "float-qubits", "bool-qubits", "none-coefficient", "str-coefficient",
-         "complex-coefficient", "bool-coefficient", "int-term", "int-string", "empty-matrix",
-         "one-by-one", "str-matrix"],
+    ids=["empty-matrix", "one-by-one", "str-matrix"],
 )
 def test_malformed_input_rejected(make, match):
     with pytest.raises(PauliError, match=match):

@@ -12,8 +12,6 @@ from quatro.qcore import (
     Circuit,
     Gate,
     NoiseModel,
-    PauliString,
-    PauliSum,
     PostSelect,
     SimulationError,
     StateVector,
@@ -23,7 +21,7 @@ from quatro.qcore import (
     run_noisy,
     run_trajectories,
 )
-from .test_pauli import random_hermitian
+from .test_pauli import pauli_matrix, random_hermitian
 from .test_walks import depolarize, gate_unitary
 
 
@@ -162,7 +160,7 @@ class TestEvolve:
         assert np.allclose(out, psi.amplitudes)
 
     def test_eigenstate_picks_up_phase_only(self):
-        h = PauliSum(1, {PauliString("Z"): 1.0}).to_dense()
+        h = pauli_matrix("Z")
         out = evolution_operator(h, 1.3) @ StateVector.zero(1).amplitudes
         assert out[0] == pytest.approx(np.exp(-1.3j))
         assert abs(out[0]) == pytest.approx(1.0)
@@ -254,6 +252,21 @@ class TestApplyCircuit:
         assert np.allclose(apply_circuit(c, StateVector.zero(1)).amplitudes, [0, 1])
         counts = run_trajectories(c.gates, StateVector.zero(1), 1000, np.random.default_rng(1))
         assert counts.tolist() == [0, 1000]
+
+    @pytest.mark.parametrize("mutate", [lambda qs: qs.__setitem__(1, 0), lambda qs: qs.append(2)],
+                             ids=["overwrite", "append"])
+    def test_gate_keeps_its_own_qubits(self, mutate):
+        # A write to the caller's list after the checks must not reach the
+        # gate: a repeated or extra qubit would break its compiled gather.
+        qubits = [0, 1]
+        gate = Gate("CNOT", qubits)
+        mutate(qubits)
+        assert gate.qubits == (0, 1)
+        out = apply_circuit(Circuit(2, [gate]), StateVector.basis(2, 2))
+        assert out.probabilities().tolist() == [0, 0, 0, 1]
+        counts = run_trajectories([gate], StateVector.basis(2, 2), 100,
+                                  np.random.default_rng(1), NoiseModel(0.5, 0.5))
+        assert counts.sum() == 100
 
     def test_distinct_angles_retain_bounded_memory(self):
         # Compiled gates are cached; thousands of distinct angles must not all
@@ -628,7 +641,7 @@ class TestNoise:
 class TestTrajectories:
     # X on qubit 0 as a dense step, then a Bell pair, then keep qubit 1 = 1.
     program = [
-        np.kron(PauliString("X").matrix(), np.eye(2)),
+        pauli_matrix("XI"),
         *Circuit(2).h(0).cnot(0, 1).gates,
         PostSelect(1),
     ]
@@ -711,3 +724,15 @@ class TestStateVector:
     def test_from_amplitudes_normalizes(self):
         psi = StateVector.from_amplitudes([3, 4])
         assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: StateVector.zero(1), lambda: Gate("U", (0,), matrix=np.eye(2)), lambda: Gate("X", [0])],
+    ids=["state", "u-gate", "x-gate"],
+)
+def test_states_and_gates_compare_and_hash_by_identity(make):
+    # Nothing compares them by value; the engine keys steps by id.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

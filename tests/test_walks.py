@@ -23,6 +23,7 @@ from quatro.walks import (
     calibrated_walk_model,
     reflecting_walk,
 )
+from .test_pauli import PAULIS, pauli_dense
 
 
 def dense_walk_matrix(n, mu, sigma):
@@ -32,14 +33,6 @@ def dense_walk_matrix(n, mu, sigma):
         if i + 1 < n:
             h[i, i + 1] = h[i + 1, i] = sigma
     return h
-
-
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def gate_unitary(gate, n_qubits):
@@ -60,7 +53,7 @@ def depolarize(rho, p, qubits, n_qubits):
     twirled = rho
     for q in qubits:
         left, right = np.eye(2**q), np.eye(2 ** (n_qubits - q - 1))
-        embedded = [np.kron(np.kron(left, pauli), right) for pauli in _PAULIS]
+        embedded = [np.kron(np.kron(left, pauli), right) for pauli in PAULIS.values()]
         twirled = sum(e @ twirled @ e.conj().T for e in embedded) / 4.0
     return (1.0 - p) * rho + p * twirled
 
@@ -142,11 +135,14 @@ class TestHamiltonian:
         dense = build_walk_hamiltonian(WalkModel(2048, -0.01, 1.0))
         assert np.array_equal(dense, dense_walk_matrix(2048, -0.01, 1.0))
 
-    @pytest.mark.parametrize("n_states, energy", [(4, -7.22), (64, -4.0), (64, -8.0)])
+    # A numpy scalar target must not run the bisection in its own dtype.
+    @pytest.mark.parametrize("n_states, energy", [(4, -7.22), (64, -4.0), (64, -8.0),
+                                                  (64, np.float32(-7.22)), (64, np.float16(-5.0))])
     def test_calibration_hits_paper_ground_energy(self, n_states, energy):
         model = calibrated_walk_model(n_states, coupling=1.0, ground_energy=energy)
         dense = build_walk_hamiltonian(model)
-        assert np.linalg.eigvalsh(dense)[0] == pytest.approx(energy, abs=1e-9)
+        assert np.linalg.eigvalsh(dense)[0] == pytest.approx(float(energy), abs=1e-9)
+        assert type(model.drift) is float
 
     def test_calibration_to_the_drift_free_ground_energy_stops(self, monkeypatch):
         import quatro.walks as walks
@@ -165,8 +161,8 @@ class TestHamiltonian:
 
     def test_pauli_form_matches_dense(self):
         dense = build_walk_hamiltonian(WalkModel(8, drift=-0.7, coupling=0.9))
-        ps = pauli_decompose(dense)
-        assert np.max(np.abs(ps.to_dense() - dense)) < 1e-10
+        terms = pauli_decompose(dense)
+        assert np.max(np.abs(pauli_dense(terms, 3) - dense)) < 1e-10
 
     def test_invalid_sizes(self):
         with pytest.raises(WalkError):
