@@ -2,8 +2,9 @@
 
 States live on n <= ~10 qubits as complex vectors of length 2^n. Basis
 index i renders as the bitstring of i with qubit 0 leftmost (most
-significant). Every gate, injected Pauli and projector compiles once (and
-is cached) into a gather over the register, which one kernel applies.
+significant). A step's small complex matrix (a gate kind's, a ``U``'s own,
+an injected Pauli or a projector) compiles once, cached by its bytes and
+qubits, into a gather over the register, which one kernel applies.
 Evolution is exact (Hermitian eigendecomposition); noise is a per-gate
 depolarizing channel realized by Pauli-twirl trajectory sampling.
 """
@@ -98,10 +99,15 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise SimulationError(f"{amps.size} amplitudes are not a power of two >= 2")
         n = amps.size.bit_length() - 1
-        norm = np.linalg.norm(amps)
-        if not 0 < norm < np.inf:
-            raise SimulationError(f"cannot normalise amplitudes of norm {norm}")
-        return cls(n, amps / norm)
+        # Scaled to a largest magnitude of 1 first, so the norm's squares
+        # neither overflow nor underflow. The real and imaginary parts are
+        # divided as reals: complex division takes 1 / largest, which
+        # overflows for a subnormal one.
+        largest = np.abs(amps).max()
+        if not 0 < largest < np.inf:  # also rejects NaN
+            raise SimulationError(f"cannot normalise amplitudes of largest magnitude {largest}")
+        parts = np.ascontiguousarray(amps).view(float) / largest
+        return cls(n, parts.view(complex) / np.linalg.norm(parts))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -114,7 +120,6 @@ class StateVector:
 _KIND_MATRIX = {
     **_PAULI_1Q,
     "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
-    1: np.diag([0.0, 1.0]),  # PostSelect's projector onto qubit = 1, keyed apart from gate kinds
     "CNOT": np.eye(4)[[0, 1, 3, 2]],
     "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
     "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
@@ -122,6 +127,10 @@ _KIND_MATRIX = {
     "CRX": lambda t: np.diag([1, 1, 0, 0]) + np.kron(
         np.diag([0, 1]), np.cos(t / 2) * _PAULI_1Q["I"] - 1j * np.sin(t / 2) * _PAULI_1Q["X"]),
 }
+# The compile keys of PostSelect's projector onto qubit = 1 and of the
+# injected Paulis, indexed by label 0-3 = I, X, Y, Z.
+_POST_SELECT = np.diag([0, 1]).astype(complex).tobytes()
+_PAULI_BYTES = tuple(_PAULI_1Q[label].tobytes() for label in "IXYZ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +138,9 @@ class Gate:
     """One circuit element. ``qubits`` lists controls first, target last.
 
     Checked when built: a known kind on distinct non-negative qubits of its
-    arity, a finite ``param`` for RY, RZ and CRX, and a unitary ``matrix``
-    for ``U`` and no other kind; anything else raises ``SimulationError``.
+    arity, a finite ``param`` for RY, RZ and CRX and none for any other
+    kind, and a unitary ``matrix`` for ``U`` and no other kind; anything
+    else raises ``SimulationError``.
     A gate keeps its own tuple of qubits, and a ``U`` its own read-only
     complex copy of the matrix, so later writes to the caller's list or
     array do not reach the gate. Gates compare and hash by identity.
@@ -150,6 +160,14 @@ class Gate:
         if len(set(self.qubits)) != k:
             raise SimulationError(f"repeated qubits {self.qubits}")
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        m = _KIND_MATRIX.get(self.kind) if isinstance(self.kind, str) else None
+        if callable(m):
+            if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
+                    or not np.isfinite(self.param)):
+                raise SimulationError(f"{self.kind} needs a finite angle, got {self.param!r}")
+            m = m(self.param)
+        elif self.param is not None:
+            raise SimulationError(f"{self.kind!r} takes no angle, got {self.param!r}")
         if self.kind == "U":
             m = _complex_array(np.nan if self.matrix is None else self.matrix, "U matrix")
             if k not in (1, 2) or m.shape != (2**k, 2**k) or not _is_unitary(m):
@@ -160,12 +178,6 @@ class Gate:
             return
         if self.matrix is not None:
             raise SimulationError(f"only a U gate takes a matrix, not {self.kind!r}")
-        m = _KIND_MATRIX.get(self.kind) if isinstance(self.kind, str) else None
-        if callable(m):
-            if (isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
-                    or not np.isfinite(self.param)):
-                raise SimulationError(f"{self.kind} needs a finite angle, got {self.param!r}")
-            m = m(self.param)
         if m is None or m.shape != (2**k, 2**k):
             raise SimulationError(f"{self.kind!r} is not a gate kind on {k} qubits")
 
@@ -222,16 +234,16 @@ _COMPILED_GATES = 128  # distinct compiled gates kept; a walk or circuit uses a 
 
 
 @functools.lru_cache(maxsize=_COMPILED_GATES)
-def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
-    """One gate on an n-qubit register as a gather ``(src, w)``:
-    ``out[j] = sum_t w[t, j] * in[src[t, j]]``, one term ``t`` per nonzero
-    in the fullest row of the gate's matrix. ``kind`` is a gate kind or 1,
-    ``PostSelect``'s projector; ``param`` is the angle, or a ``U``'s matrix bytes."""
+def _compile(matrix: bytes, qubits: tuple[int, ...], n: int):
+    """A ``2**k x 2**k`` complex matrix on k ``qubits`` of an n-qubit
+    register as a gather ``(src, w)``: ``out[j] = sum_t w[t, j] * in[src[t, j]]``,
+    one term ``t`` per nonzero in the fullest row of the matrix. ``matrix``
+    is the matrix's bytes, so a gate is cached by what it does, not by its
+    kind or angle."""
     k = len(qubits)
     if not all(0 <= q < n for q in qubits):
         raise SimulationError(f"qubits {qubits} invalid for a {n}-qubit register")
-    m = np.frombuffer(param, dtype=complex) if kind == "U" else _KIND_MATRIX[kind]
-    m = (m(param) if callable(m) else m).reshape(2**k, 2**k)
+    m = np.frombuffer(matrix, dtype=complex).reshape(2**k, 2**k)
     bits = [(k - 1 - i, n - 1 - q) for i, q in enumerate(qubits)]  # matrix bit, register bit
     j, c = np.arange(2**n), np.arange(2**k)
     row = sum(((j >> r) & 1) << b for b, r in bits)
@@ -247,13 +259,15 @@ def _compile(kind: str | int, qubits: tuple[int, ...], param, n: int):
 
 def _compile_step(step: Gate | np.ndarray | PostSelect, n: int):
     """A program step checked against the register and compiled: a cached
-    gather for a ``Gate`` (a ``U`` keyed by its matrix bytes) or a
-    ``PostSelect``, the transpose of a dense step, which must be unitary."""
+    gather of a ``Gate``'s matrix (a ``U``'s own, else its kind's at its
+    angle) or of ``PostSelect``'s projector, the transpose of a dense step,
+    which must be unitary."""
     if isinstance(step, PostSelect):
-        return _compile(1, (step.qubit,), None, n)
+        return _compile(_POST_SELECT, (step.qubit,), n)
     if isinstance(step, Gate):
-        param = step.param if step.matrix is None else step.matrix.tobytes()
-        return _compile(step.kind, step.qubits, param, n)
+        m = step.matrix if step.kind == "U" else _KIND_MATRIX[step.kind]
+        m = m(step.param) if callable(m) else m
+        return _compile(np.asarray(m, dtype=complex).tobytes(), step.qubits, n)
     m = _complex_array(step, "dense step")
     if m.shape != (2**n, 2**n) or not _is_unitary(m):
         raise SimulationError(f"dense step of shape {m.shape} on {n} qubits is not unitary")
@@ -380,7 +394,7 @@ def _inject_pauli(block: np.ndarray, rows: np.ndarray, qubits: tuple[int, ...],
         for label in (1, 2, 3):
             hit = rows[labels == label]
             if hit.size:
-                block[hit] = _apply(block[hit], _compile("IXYZ"[label], (q,), None, n))
+                block[hit] = _apply(block[hit], _compile(_PAULI_BYTES[label], (q,), n))
     return block
 
 

@@ -107,3 +107,35 @@ def test_every_qcore_name_has_a_caller():
     paths = [*(ROOT / "src" / "quatro").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*(names_used(path.read_text()) for path in paths if path != init))
     assert sorted(set(qcore.__all__) - used) == []
+
+
+
+def imported_names(path: Path) -> list[str]:
+    """Every dotted name a file imports; ``from a import b`` gives ``a`` and
+    ``a.b``, and a relative name keeps its leading dots."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names += [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    return names
+
+
+def test_no_test_module_imports_another():
+    """Shared test helpers live in ``tests/oracles.py``, so each test module
+    stands alone."""
+    crossed = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for name in imported_names(path)
+        if any(part.startswith("test_") for part in name.split("."))
+    ]
+    assert crossed == []
+
+
+def test_oracles_import_nothing_from_quatro():
+    """The reference matrices and laws share no code with what they check."""
+    names = imported_names(ROOT / "tests" / "oracles.py")
+    assert [name for name in names if name.split(".")[0] == "quatro"] == []

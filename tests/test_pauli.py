@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,33 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quatro.qcore import PauliError, pauli_decompose
-
-PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Oracle: the Kronecker product of a label's Paulis, qubit 0 leftmost."""
-    return functools.reduce(np.kron, [PAULIS[c] for c in label])
-
-
-def pauli_dense(terms: dict[str, float], n_qubits: int) -> np.ndarray:
-    """Oracle: the dense matrix of ``{label: coefficient}`` on ``n_qubits``."""
-    h = np.zeros((2**n_qubits,) * 2, dtype=complex)
-    for label, c in terms.items():
-        h += c * pauli_matrix(label)
-    return h
-
-
-def random_hermitian(n_qubits: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    dim = 2**n_qubits
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2
+from .oracles import PAULIS, pauli_dense, pauli_matrix, random_hermitian
 
 
 def test_identity_decomposes_to_single_identity_term():

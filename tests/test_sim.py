@@ -21,8 +21,7 @@ from quatro.qcore import (
     run_noisy,
     run_trajectories,
 )
-from .test_pauli import pauli_matrix, random_hermitian
-from .test_walks import depolarize, gate_unitary
+from .oracles import gate_matrix, haar_unitary, noisy_circuit_oracle, pauli_matrix, random_hermitian
 
 
 def taylor_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
@@ -37,65 +36,6 @@ def taylor_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-# Textbook single-qubit matrices for the reference gates below.
-I2 = np.eye(2)
-X = np.array([[0, 1], [1, 0]])
-H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-P1 = np.diag([0, 1])
-
-
-def ry(t):
-    return np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
-
-
-def rz(t):
-    return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-
-
-def rx(t):
-    return np.array([[np.cos(t / 2), -1j * np.sin(t / 2)], [-1j * np.sin(t / 2), np.cos(t / 2)]])
-
-
-def on(n, ops):
-    """Kronecker product over qubits 0..n-1 (qubit 0 leftmost) of ``ops[q]``,
-    the identity on qubits not in ``ops``."""
-    return functools.reduce(np.kron, [ops.get(q, I2) for q in range(n)])
-
-
-def controlled(n, controls, target, m):
-    """I - P + P (x) m, with P the projector onto every control = 1."""
-    ones = {c: P1 for c in controls}
-    return np.eye(2**n) - on(n, ones) + on(n, {**ones, target: m})
-
-
-def dense_on(n, qubits, u):
-    """Sum of u[r, c] |r><c| spread over ``qubits``, the first qubit being
-    the most significant bit of u's index."""
-    k, out = len(qubits), 0
-    for r, c in itertools.product(range(2**k), repeat=2):
-        r_bits, c_bits = format(r, f"0{k}b"), format(c, f"0{k}b")
-        units = {q: np.outer(I2[int(a)], I2[int(b)]) for q, a, b in zip(qubits, r_bits, c_bits)}
-        out = out + u[r, c] * on(n, units)
-    return out
-
-
-def haar_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def noisy_circuit_oracle(circuit, noise):
-    """Exact output law of ``run_noisy(circuit, noise, ...)``: the density
-    matrix from |0...0>, each gate followed by its depolarizing channel."""
-    n = circuit.n_qubits
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        u = gate_unitary(gate, n)
-        rho = depolarize(u @ rho @ u.conj().T, noise.gate_probability(gate), gate.qubits, n)
-    return np.real(np.diag(rho))
-
-
 def engine_counts(circuit, noise, shots, seed):
     """``run_noisy`` as one ``run_trajectories`` call, keyed by bitstring."""
     n = circuit.n_qubits
@@ -108,29 +48,22 @@ ARITY = {"H": 1, "X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "CRX": 2, "TOFFOLI": 3, "U
 
 
 def gate_and_reference(kind, n, q, rng):
-    """A one-gate circuit and its full-register matrix, built independently."""
+    """A one-gate circuit, built through its ``Circuit`` builder, and the
+    gate's textbook full-register matrix."""
     c, t = Circuit(n), rng.uniform(-np.pi, np.pi)
-    if kind == "H":
-        return c.h(*q), on(n, {q[0]: H})
-    if kind == "X":
-        return c.x(*q), on(n, {q[0]: X})
-    if kind == "RY":
-        return c.ry(t, *q), on(n, {q[0]: ry(t)})
-    if kind == "RZ":
-        return c.rz(t, *q), on(n, {q[0]: rz(t)})
-    if kind == "CNOT":
-        return c.cnot(*q), controlled(n, q[:1], q[1], X)
-    if kind == "CRX":
-        return c.crx(t, *q), controlled(n, q[:1], q[1], rx(t))
-    if kind == "TOFFOLI":
-        return c.toffoli(*q), controlled(n, q[:2], q[2], X)
-    u = haar_unitary(rng, 2 ** len(q))
-    return c.unitary(u, *q), dense_on(n, q, u)
+    builders = {"H": c.h, "X": c.x, "CNOT": c.cnot, "TOFFOLI": c.toffoli,
+                "RY": functools.partial(c.ry, t), "RZ": functools.partial(c.rz, t),
+                "CRX": functools.partial(c.crx, t)}
+    if kind in builders:
+        builders[kind](*q)
+    else:
+        c.unitary(haar_unitary(rng, 2 ** len(q)), *q)
+    return c, gate_matrix(c.gates[0], n)
 
 
 class TestGateReference:
     """Every gate kind on every ordered placement of its qubits, from a
-    random complex state, against a matrix built in this file."""
+    random complex state, against its textbook matrix from ``oracles``."""
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("kind", list(ARITY))
@@ -311,11 +244,21 @@ class TestInputChecks:
             lambda: Gate("X", 0),
             lambda: Gate("X", (0,), matrix=[[1, 0], [0, 1]]),
             lambda: Gate("RY", (0,), 0.5, matrix="ab"),
+            lambda: Gate("X", (0,), param=float("nan")),
+            lambda: Gate("H", (0,), param=0.3),
+            lambda: Gate("I", (0,), param=0.0),
+            lambda: Gate("Y", (0,), param=0.3),
+            lambda: Gate("Z", (0,), param=0.3),
+            lambda: Gate("CNOT", (0, 1), param=0.3),
+            lambda: Gate("TOFFOLI", (0, 1, 2), param=0.3),
+            lambda: Gate("U", (0,), param=0.3, matrix=np.eye(2)),
         ],
         ids=["ry-no-angle", "rz-inf-angle", "crx-str-angle", "u-no-matrix", "u-3q",
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
              "repeated-qubit", "negative-qubit", "float-qubit", "bool-qubit", "u-str-matrix",
-             "unitary-str-matrix", "int-qubits", "x-list-matrix", "ry-str-matrix"],
+             "unitary-str-matrix", "int-qubits", "x-list-matrix", "ry-str-matrix",
+             "x-nan-angle", "h-angle", "i-angle", "y-angle", "z-angle", "cnot-angle",
+             "toffoli-angle", "u-angle"],
     )
     def test_malformed_gate_rejected(self, gate):
         with pytest.raises(SimulationError):
@@ -724,6 +667,16 @@ class TestStateVector:
     def test_from_amplitudes_normalizes(self):
         psi = StateVector.from_amplitudes([3, 4])
         assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("amplitudes, expected",
+                             [([1e155, 0], [1, 0]), ([3e-170, 4e-170], [0.6, 0.8]),
+                              ([5e-324, 0], [1, 0])],
+                             ids=["squares-overflow", "squares-underflow", "subnormal"])
+    def test_from_amplitudes_normalizes_any_finite_scale(self, amplitudes, expected):
+        # Squaring these overflows or underflows; tier-1 also turns any
+        # RuntimeWarning into an error.
+        psi = StateVector.from_amplitudes(amplitudes)
+        assert np.allclose(psi.amplitudes, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatro.qcore import (
-    Circuit,
     NoiseModel,
     StateVector,
     apply_circuit,
@@ -23,72 +22,7 @@ from quatro.walks import (
     calibrated_walk_model,
     reflecting_walk,
 )
-from .test_pauli import PAULIS, pauli_dense
-
-
-def dense_walk_matrix(n, mu, sigma):
-    h = np.zeros((n, n))
-    for i in range(n):
-        h[i, i] = mu * i
-        if i + 1 < n:
-            h[i, i + 1] = h[i + 1, i] = sigma
-    return h
-
-
-def gate_unitary(gate, n_qubits):
-    """Full-register unitary of one gate, read off ``apply_circuit``."""
-    circuit = Circuit(n_qubits, [gate])
-    return np.column_stack(
-        [apply_circuit(circuit, StateVector.basis(n_qubits, i)).amplitudes
-         for i in range(2**n_qubits)]
-    )
-
-
-def depolarize(rho, p, qubits, n_qubits):
-    """(1 - p) rho + p * (uniform Pauli twirl of rho on ``qubits``).
-
-    A Pauli string drawn uniformly from the 4^k strings on k qubits is an
-    independent uniform Pauli on each qubit, so the twirl factorises.
-    """
-    twirled = rho
-    for q in qubits:
-        left, right = np.eye(2**q), np.eye(2 ** (n_qubits - q - 1))
-        embedded = [np.kron(np.kron(left, pauli), right) for pauli in PAULIS.values()]
-        twirled = sum(e @ twirled @ e.conj().T for e in embedded) / 4.0
-    return (1.0 - p) * rho + p * twirled
-
-
-def noisy_absorbing_oracle(model, psi0, steps, noise):
-    """Exact tables of ``absorbing_walk(..., shots=..., noise=noise)``.
-
-    The density-matrix form of the channel the trajectory sampler unravels:
-    per mid-walk step, evolve, run each detector gate followed by its
-    depolarizing channel, keep ancilla = 1, reset it to 0, and depolarize
-    the reset X with p1. Table k is the unnormalized lattice distribution
-    measured after step k.
-    """
-    n_main = model.n_qubits
-    n_full = n_main + 1
-    dim = 2**n_full
-    h = dense_walk_matrix(model.n_states, model.drift, model.coupling)
-    u_full = np.kron(evolution_operator(h, model.dt), np.eye(2))
-    detector = [
-        (gate_unitary(g, n_full), noise.gate_probability(g), g.qubits)
-        for g in boundary_detector(n_main).gates
-    ]
-    start = np.kron(psi0.amplitudes, [1.0, 0.0])
-    rho = np.outer(start, start.conj())
-    tables = [np.abs(psi0.amplitudes) ** 2]
-    for _ in range(steps):
-        rho = u_full @ rho @ u_full.conj().T
-        tables.append(np.real(np.diag(rho)).reshape(-1, 2).sum(axis=1))
-        for u, p, qubits in detector:
-            rho = depolarize(u @ rho @ u.conj().T, p, qubits, n_full)
-        blocks = rho.reshape(dim // 2, 2, dim // 2, 2)
-        kept = np.zeros_like(blocks)
-        kept[:, 0, :, 0] = blocks[:, 1, :, 1]
-        rho = depolarize(kept.reshape(dim, dim), noise.p1, (n_main,), n_full)
-    return tables
+from .oracles import dense_walk_matrix, noisy_absorbing_oracle, pauli_dense
 
 
 def total_variation(p, q):
@@ -387,7 +321,8 @@ class TestAbsorbing:
         psi = StateVector.basis(2, 0)
         shots = 500
         res = absorbing_walk(model, psi, 3, shots=shots, seed=1, noise=noise)
-        oracle = noisy_absorbing_oracle(model, psi, 3, noise or NoiseModel(0.0, 0.0))
+        oracle = noisy_absorbing_oracle(model, psi, 3, noise or NoiseModel(0.0, 0.0),
+                                        boundary_detector(model.n_qubits).gates)
         assert not outside_five_sigma(res.tables, oracle, shots).any()
         if noise is None or noise.p1 == 0:
             assert res.accepted_shots == [500, 500, 0, 0]
@@ -499,20 +434,21 @@ class TestNoisyAbsorbing:
         psi = StateVector.basis(3, 4)
         steps = 4
         exact = absorbing_walk(model, psi, steps)
+        detector = boundary_detector(model.n_qubits).gates
 
         # Control: with p = 0 the oracle is the noise-free walk.
-        clean = noisy_absorbing_oracle(model, psi, steps, NoiseModel(0.0, 0.0))
+        clean = noisy_absorbing_oracle(model, psi, steps, NoiseModel(0.0, 0.0), detector)
         for k in range(steps + 1):
             assert np.max(np.abs(clean[k] - exact.tables[k])) < 1e-12
 
         # Noisy gate locations before the last measurement: the detector
         # and the ancilla reset, once per mid-walk step. With probability
         # (1 - p)^G none fires and the trajectory is ideal, which bounds TV.
-        locations = (len(boundary_detector(model.n_qubits).gates) + 1) * (steps - 1)
+        locations = (len(detector) + 1) * (steps - 1)
         probabilities = (1e-2, 1e-3, 1e-4)
         oracles, tvs = [], []
         for p in probabilities:
-            oracle = noisy_absorbing_oracle(model, psi, steps, NoiseModel(p, p))
+            oracle = noisy_absorbing_oracle(model, psi, steps, NoiseModel(p, p), detector)
             tv = total_variation(exact.tables[steps], oracle[steps])
             assert tv <= 1 - (1 - p) ** locations
             oracles.append(oracle)
@@ -537,7 +473,24 @@ class TestNoisyAbsorbing:
         psi = StateVector.from_amplitudes([1, 2j, 1, 0])
         noise = NoiseModel(0.2, 0.1)
         shots = 20_000
-        oracle = noisy_absorbing_oracle(model, psi, 4, noise)
+        oracle = noisy_absorbing_oracle(model, psi, 4, noise, boundary_detector(2).gates)
         assert outside_five_sigma(absorbing_walk(model, psi, 4).tables, oracle, shots).any()
+        noisy = absorbing_walk(model, psi, 4, shots=shots, seed=7, noise=noise)
+        assert not outside_five_sigma(noisy.tables, oracle, shots).any()
+
+    def test_reset_noise_conforms_to_oracle(self):
+        # Only the reset X and the detector's X gates are noisy here, and a
+        # noisy reset leaves the ancilla in |1>, which flags the next step's
+        # boundary states as interior, so the reset's noise shows.
+        model = WalkModel(8, 0.0, 1.0, dt=0.5)
+        psi = StateVector.basis(3, 4)
+        noise = NoiseModel(0.3, 0.0)
+        detector = boundary_detector(model.n_qubits).gates
+        shots = 20_000
+        oracle = noisy_absorbing_oracle(model, psi, 4, noise, detector)
+        # Power control: a sampler whose reset is noise-free fails at this
+        # shot count (the heavy-noise case above cannot tell it apart).
+        noise_free_reset = noisy_absorbing_oracle(model, psi, 4, noise, detector, reset=0.0)
+        assert outside_five_sigma(noise_free_reset, oracle, shots).any()
         noisy = absorbing_walk(model, psi, 4, shots=shots, seed=7, noise=noise)
         assert not outside_five_sigma(noisy.tables, oracle, shots).any()
