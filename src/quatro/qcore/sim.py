@@ -2,11 +2,11 @@
 
 States live on n <= ~10 qubits as complex vectors of length 2^n. Basis
 index i renders as the bitstring of i with qubit 0 leftmost (most
-significant). A step's small complex matrix (a gate kind's, a ``U``'s own,
-an injected Pauli or a projector) compiles once, cached by its bytes and
-qubits, into a gather over the register, which one kernel applies.
-Evolution is exact (Hermitian eigendecomposition); noise is a per-gate
-depolarizing channel realized by Pauli-twirl trajectory sampling.
+significant). A step's small complex matrix (a gate kind's, a ``U``'s own
+or a projector) compiles once, cached by its bytes and qubits, into a
+gather over the register, which one kernel applies. Evolution is exact
+(Hermitian eigendecomposition); per-gate depolarizing noise is sampled as
+Pauli-twirl trajectories, each Pauli a sign flip and a bit flip of a row.
 """
 from __future__ import annotations
 
@@ -19,13 +19,6 @@ import numpy as np
 
 _NORM_TOL = 1e-10
 _MAX_SHOTS = 2**63  # exclusive: numpy's multinomial takes an int64 count
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class SimulationError(ValueError):
@@ -74,8 +67,11 @@ class StateVector:
         amps = _complex_array(self.amplitudes, "amplitudes")
         if amps.shape != (2**self.n_qubits,):
             raise SimulationError(f"expected {2**self.n_qubits} amplitudes, got {amps.shape}")
+        # Checked before squaring, so that no square overflows; NaN fails too.
+        if not (largest := np.abs(amps).max()) <= 1.0 + 1e-8:
+            raise SimulationError(f"an amplitude of magnitude {largest} exceeds 1")
         norm = np.sum(np.abs(amps) ** 2)
-        if not abs(norm - 1.0) <= 1e-8:  # also rejects NaN
+        if not abs(norm - 1.0) <= 1e-8:
             raise SimulationError(f"state norm {norm} is not 1")
         amps = amps / np.sqrt(norm)
         amps.flags.writeable = False
@@ -118,29 +114,28 @@ class StateVector:
 # Each kind's matrix on its qubits, controls first, the first qubit being the
 # most significant bit of the matrix index; a callable takes the gate's param.
 _KIND_MATRIX = {
-    **_PAULI_1Q,
     "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "X": np.array([[0, 1], [1, 0]]),
     "CNOT": np.eye(4)[[0, 1, 3, 2]],
     "TOFFOLI": np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
     "RY": lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]]),
     "RZ": lambda t: np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]),
-    "CRX": lambda t: np.diag([1, 1, 0, 0]) + np.kron(
-        np.diag([0, 1]), np.cos(t / 2) * _PAULI_1Q["I"] - 1j * np.sin(t / 2) * _PAULI_1Q["X"]),
+    "CRX": lambda t: np.array([[1, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, np.cos(t / 2), -1j * np.sin(t / 2)],
+                               [0, 0, -1j * np.sin(t / 2), np.cos(t / 2)]]),
 }
-# The compile keys of PostSelect's projector onto qubit = 1 and of the
-# injected Paulis, indexed by label 0-3 = I, X, Y, Z.
+# The compile key of PostSelect's projector onto qubit = 1.
 _POST_SELECT = np.diag([0, 1]).astype(complex).tobytes()
-_PAULI_BYTES = tuple(_PAULI_1Q[label].tobytes() for label in "IXYZ")
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One circuit element. ``qubits`` lists controls first, target last.
 
-    Checked when built: a known kind on distinct non-negative qubits of its
-    arity, a finite ``param`` for RY, RZ and CRX and none for any other
-    kind, and a unitary ``matrix`` for ``U`` and no other kind; anything
-    else raises ``SimulationError``.
+    Checked when built: a kind among H, X, RY, RZ, CNOT, CRX, TOFFOLI and U (one per
+    ``Circuit`` builder) on distinct non-negative qubits of its arity, a finite ``param``
+    for RY, RZ and CRX and none for any other kind, and a unitary ``matrix`` for ``U``
+    and no other kind; anything else raises ``SimulationError``.
     A gate keeps its own tuple of qubits, and a ``U`` its own read-only
     complex copy of the matrix, so later writes to the caller's list or
     array do not reach the gate. Gates compare and hash by identity.
@@ -386,16 +381,20 @@ def _noise_events(gates: list[Gate], noise: NoiseModel, shots: int,
 
 
 def _inject_pauli(block: np.ndarray, rows: np.ndarray, qubits: tuple[int, ...],
-                  n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inject a uniform Pauli on each of ``qubits`` into each of ``rows``:
-    one label per row; each non-identity label acts on the rows holding it."""
+                  n: int, rng: np.random.Generator) -> None:
+    """Inject in place a uniform Pauli on each of ``qubits`` into each of ``rows``:
+    one label I, X, Y or Z per row, applied as a sign flip of the columns whose
+    qubit bit is 1 (Z and Y), then a swap of the columns differing in that bit
+    (X and Y). Y = iXZ, and a row's global phase changes no probability."""
+    j = np.arange(2**n)
     for q in qubits:
+        bit = 1 << (n - 1 - q)
         labels = rng.integers(4, size=rows.size)
-        for label in (1, 2, 3):
-            hit = rows[labels == label]
-            if hit.size:
-                block[hit] = _apply(block[hit], _compile(_PAULI_BYTES[label], (q,), n))
-    return block
+        z, x = rows[labels >= 2], rows[labels % 3 != 0]
+        if z.size:
+            block[z] *= np.where(j & bit, -1.0, 1.0)
+        if x.size:
+            block[x] = block[x][:, j ^ bit]
 
 
 @dataclass(frozen=True)
@@ -455,7 +454,7 @@ def run_trajectories(
         if isinstance(step, Gate):
             if len(events):
                 hit = np.flatnonzero(events[:, g_idx]) + 1
-                block = _inject_pauli(block, hit, step.qubits, n, rng)
+                _inject_pauli(block, hit, step.qubits, n, rng)
             g_idx += 1
     probs = np.abs(block) ** 2
     # Clean shots: one draw over row 0's outcomes and its discarded mass.
@@ -493,6 +492,6 @@ def run_noisy(
         for gate, op, event in zip(circuit.gates, ops, shot_events):
             amps = _apply(amps, op)
             if event:
-                amps = _inject_pauli(amps, row, gate.qubits, n, rng)
+                _inject_pauli(amps, row, gate.qubits, n, rng)
         counts[rng.choice(2**n, p=np.abs(amps[0]) ** 2)] += 1
     return Counter({format(i, f"0{n}b"): int(counts[i]) for i in np.flatnonzero(counts)})

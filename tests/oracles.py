@@ -69,7 +69,7 @@ def gate_matrix(gate, n):
         return on(n, {qubits[0]: ry(t)})
     if kind == "RZ":
         return on(n, {qubits[0]: rz(t)})
-    return on(n, {qubits[0]: {"H": H, **PAULIS}[kind]})
+    return on(n, {qubits[0]: {"H": H, "X": PAULIS["X"]}[kind]})
 
 
 def pauli_matrix(label):

@@ -44,6 +44,14 @@ def engine_counts(circuit, noise, shots, seed):
     return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts)}
 
 
+def axis_kept_share(axis, labels):
+    """Exact share of shots that read 0 when the +1 eigenstate of the Pauli
+    ``axis`` takes a Pauli drawn uniformly from ``labels`` and is rotated
+    back to the Z axis."""
+    plus = np.linalg.eigh(pauli_matrix(axis))[1][:, 1]  # eigenvalues ascend: -1, +1
+    return np.mean([abs(plus.conj() @ pauli_matrix(p) @ plus) ** 2 for p in labels])
+
+
 ARITY = {"H": 1, "X": 1, "RY": 1, "RZ": 1, "CNOT": 2, "CRX": 2, "TOFFOLI": 3, "U1": 1, "U2": 2}
 
 
@@ -246,9 +254,9 @@ class TestInputChecks:
             lambda: Gate("RY", (0,), 0.5, matrix="ab"),
             lambda: Gate("X", (0,), param=float("nan")),
             lambda: Gate("H", (0,), param=0.3),
-            lambda: Gate("I", (0,), param=0.0),
-            lambda: Gate("Y", (0,), param=0.3),
-            lambda: Gate("Z", (0,), param=0.3),
+            lambda: Gate("I", (0,)),
+            lambda: Gate("Y", (0,)),
+            lambda: Gate("Z", (0,)),
             lambda: Gate("CNOT", (0, 1), param=0.3),
             lambda: Gate("TOFFOLI", (0, 1, 2), param=0.3),
             lambda: Gate("U", (0,), param=0.3, matrix=np.eye(2)),
@@ -257,7 +265,7 @@ class TestInputChecks:
              "u-non-unitary", "unknown-kind", "projector-key", "cnot-arity", "x-arity",
              "repeated-qubit", "negative-qubit", "float-qubit", "bool-qubit", "u-str-matrix",
              "unitary-str-matrix", "int-qubits", "x-list-matrix", "ry-str-matrix",
-             "x-nan-angle", "h-angle", "i-angle", "y-angle", "z-angle", "cnot-angle",
+             "x-nan-angle", "h-angle", "i-kind", "y-kind", "z-kind", "cnot-angle",
              "toffoli-angle", "u-angle"],
     )
     def test_malformed_gate_rejected(self, gate):
@@ -274,9 +282,11 @@ class TestInputChecks:
             lambda: StateVector(0, [1]),
             lambda: StateVector(1, "ab"),
             lambda: StateVector.from_amplitudes("ab"),
+            lambda: StateVector(1, [1e200, 0]),
+            lambda: StateVector(1, [1e155, 0]),
         ],
         ids=["one-amplitude", "no-amplitudes", "three-amplitudes", "matrix", "zero-qubits",
-             "str-amplitudes", "from-str-amplitudes"],
+             "str-amplitudes", "from-str-amplitudes", "1e200-amplitude", "1e155-amplitude"],
     )
     def test_malformed_state_rejected(self, make):
         with pytest.raises(SimulationError):
@@ -579,6 +589,26 @@ class TestNoise:
         counts = run(circuit, noise, shots, 5)
         observed = np.array([counts.get(format(i, "03b"), 0) for i in range(8)])
         assert np.all(np.abs(observed - shots * law) <= 5 * sigma)
+
+    @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
+    @pytest.mark.parametrize("axis", "XYZ")
+    def test_twirl_flips_every_axis_half_the_time(self, run, axis):
+        # Noise-free gates put qubit 0 on ``axis`` and take it back. Between
+        # them, a CNOT whose control stays 0 acts as the identity, and its
+        # certain depolarizing event twirls qubit 0; two of I, X, Y and Z
+        # flip each axis.
+        h, rz = Gate("H", (0,)), Gate("RZ", (0,), np.pi / 2)
+        prep = {"Z": [], "X": [h], "Y": [h, rz]}[axis]
+        undo = {"Z": [], "X": [h], "Y": [Gate("RZ", (0,), -np.pi / 2), h]}[axis]
+        circuit = Circuit(2, [*prep, Gate("CNOT", (1, 0)), *undo])
+        shots = 2000
+        law = axis_kept_share(axis, "IXYZ")
+        sigma = np.sqrt(shots * law * (1 - law))
+        # Power control: a twirl of I and ``axis`` alone never flips it.
+        assert abs(axis_kept_share(axis, "I" + axis) - law) * shots > 5 * sigma
+        counts = run(circuit, NoiseModel(0.0, 1.0), shots, 1)
+        kept = sum(count for key, count in counts.items() if key[0] == "0")
+        assert abs(kept - shots * law) <= 5 * sigma
 
 
 class TestTrajectories:
