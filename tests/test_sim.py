@@ -591,6 +591,55 @@ class TestNoise:
         assert np.all(np.abs(observed - shots * law) <= 5 * sigma)
 
     @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
+    def test_event_rate_conforms_to_oracle(self, run):
+        # 14 one-qubit and 12 two-qubit gates, each rate charged many times
+        # per shot, so that the counts see a wrong rate of either arity.
+        circuit = Circuit(2).h(0)
+        for _ in range(12):
+            circuit.x(1).cnot(0, 1)
+        circuit.h(0)
+        noise = NoiseModel(0.02, 0.1)
+        shots = 20_000
+        law = noisy_circuit_oracle(circuit, noise)
+        sigma = np.sqrt(shots * law * (1 - law))
+        # Power controls, exact: p1 and p2 swapped reach z = 11.8, and each p
+        # as p / (1 - p), the event rate of geometric gaps drawn one short
+        # when repeats count, reaches z = 6.9.
+        for wrong in (NoiseModel(noise.p2, noise.p1),
+                      NoiseModel(noise.p1 / (1 - noise.p1), noise.p2 / (1 - noise.p2))):
+            assert np.max(np.abs(noisy_circuit_oracle(circuit, wrong) - law) * shots / sigma) > 5
+        counts = run(circuit, noise, shots, 0)
+        observed = np.array([counts.get(format(i, "02b"), 0) for i in range(4)])
+        assert np.all(np.abs(observed - shots * law) <= 5 * sigma)
+
+    @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1 - 2**-53, 1.0],
+                             ids=["subnormal", "1e-300", "below-1", "1"])
+    def test_extreme_probability_gives_valid_counts(self, run, p):
+        # Gaps come from log(u) / log1p(-p): a subnormal p must not overflow
+        # the quotient, nor a tiny one cast a huge gap to an integer, and
+        # p = 1 leaves no gap between events.
+        shots = 2000
+        counts = run(Circuit(2).h(0).cnot(0, 1), NoiseModel(p, p), shots, 3)
+        seen = {key for key, count in counts.items() if count}
+        assert sum(counts.values()) == shots and seen <= {"00", "01", "10", "11"}
+        # Rare events leave the Bell pair's outcomes alone; certain (or all
+        # but certain) ones leave every outcome a quarter of the shots.
+        assert seen == ({"00", "11"} if p < 0.5 else {"00", "01", "10", "11"})
+
+    @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
+    def test_rare_noise_memory_does_not_grow_with_shots(self, run):
+        # 10**9 shots at p = 1e-300 expect no event, so nothing the size of
+        # the shots, or of shots x gates, may be allocated.
+        tracemalloc.start()
+        try:
+            counts = run(Circuit(1).x(0), NoiseModel(1e-300), 10**9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts["1"] == 10**9 and peak < 2**20
+
+    @pytest.mark.parametrize("run", [run_noisy, engine_counts], ids=["run_noisy", "engine"])
     @pytest.mark.parametrize("axis", "XYZ")
     def test_twirl_flips_every_axis_half_the_time(self, run, axis):
         # Noise-free gates put qubit 0 on ``axis`` and take it back. Between
