@@ -578,19 +578,24 @@ def run_noisy(
         circuit.gates, NoiseModel() if noise is None else noise, shots, n, rng)
     clean = apply_circuit(circuit, StateVector.zero(n))
     counts = draw_counts(clean.probabilities(), shots - noisy, rng)
-    hits = [{} for _ in range(noisy)]  # per noisy shot, its events by gate
-    gate = np.repeat(np.arange(len(ops)), np.diff(starts))
-    for e, (r, g) in enumerate(zip(rank.tolist(), gate.tolist())):
-        hits[r][g] = e
-    x, z = pauli & ((1 << n) - 1), pauli >> n
-    signs = _parity_signs(n)
+    # Each noisy shot's events, in gate order. Every event-sized array is
+    # dropped once used, so that a dense draw holds few of them at a time.
+    by_shot = np.argsort(rank, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
+    del rank
+    pauli = pauli[by_shot]
+    gate = np.searchsorted(starts, by_shot, side="right")
+    gate -= 1
+    del by_shot
+    signs, low = _parity_signs(n), (1 << n) - 1
     row = np.zeros(1, dtype=int)
     zero = StateVector.zero(n).amplitudes[None]
-    for shot_hits in hits:
+    for lo, hi in zip(bounds, bounds[1:]):
+        hits = dict(zip(gate[lo:hi].tolist(), range(lo, hi)))
         amps = zero
         for g, op in enumerate(ops):
             amps = _apply(amps, op)
-            if (e := shot_hits.get(g)) is not None:
-                _inject_pauli(amps, row, x[e:e + 1], z[e:e + 1], signs)
+            if (e := hits.get(g)) is not None:
+                _inject_pauli(amps, row, pauli[e:e + 1] & low, pauli[e:e + 1] >> n, signs)
         counts[rng.choice(2**n, p=np.abs(amps[0]) ** 2)] += 1
     return Counter({format(i, f"0{n}b"): int(counts[i]) for i in np.flatnonzero(counts)})
